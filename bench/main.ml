@@ -863,29 +863,19 @@ let bench_json ~quick ~file ?baseline () =
   in
   let ring_states = Pnut_reach.Graph.num_states ring_packed_g in
   let ring_edges = Pnut_reach.Graph.num_edges ring_packed_g in
-  (* PR 8: the sharded packed build across worker counts.  Identity is
-     absolute — the merge renumbers into serial FIFO order, so the
-     arena, intern index and CSR arrays must be byte-identical to the
-     jobs=1 build for every worker count; speedup is advisory below
-     4 cores and gated above. *)
-  let ring_packed_jobs =
-    List.map
-      (fun jobs ->
-        if jobs = 1 then (1, ring_packed_g, ring_packed_s)
-        else
-          let g, s =
-            best_of packed_reps (fun () ->
-                Pnut_reach.Graph.build ~max_states:ring_cap ~jobs ~packed:true
-                  ring)
-          in
-          (jobs, g, s))
-      job_counts
-  in
-  let sharded_identical =
+  (* [jobs] must not change the packed build: the arena, intern index
+     and CSR arrays are byte-identical to the jobs=1 build for every
+     worker count. *)
+  let packed_jobs_identical =
     let base = Pnut_reach.Graph.packed_arrays ring_packed_g in
     List.for_all
-      (fun (_, g, _) -> Pnut_reach.Graph.packed_arrays g = base)
-      ring_packed_jobs
+      (fun jobs ->
+        jobs = 1
+        || Pnut_reach.Graph.packed_arrays
+             (Pnut_reach.Graph.build ~max_states:ring_cap ~jobs ~packed:true
+                ring)
+           = base)
+      job_counts
   in
   Pnut_exec.Pool.quiesce ();
   let packed_bytes_per_state =
@@ -1263,21 +1253,8 @@ let bench_json ~quick ~file ?baseline () =
     (if ring_packed_s > 0.0 then ring_boxed_s /. ring_packed_s else 0.0);
   Printf.bprintf b "      \"speedup_at_least_1_5x\": %b,\n"
     (ring_boxed_s >= 1.5 *. ring_packed_s);
-  Printf.bprintf b "      \"jobs_sweep\": [\n";
-  List.iteri
-    (fun i (jobs, g, s) ->
-      let speedup = if s > 0.0 then ring_packed_s /. s else 0.0 in
-      Printf.bprintf b
-        "        { \"jobs\": %d, \"seconds\": %.6f, \"states_per_sec\": \
-         %.0f, \"speedup\": %.3f, \"parallel_efficiency\": %.3f }%s\n"
-        jobs s
-        (rate (Pnut_reach.Graph.num_states g) s)
-        speedup
-        (speedup /. float_of_int jobs)
-        (if i = List.length ring_packed_jobs - 1 then "" else ","))
-    ring_packed_jobs;
-  Printf.bprintf b "      ],\n";
-  Printf.bprintf b "      \"identical_across_jobs\": %b,\n" sharded_identical;
+  Printf.bprintf b "      \"identical_across_jobs\": %b,\n"
+    packed_jobs_identical;
   Printf.bprintf b "      \"bytes_per_state\": %.2f,\n" packed_bytes_per_state;
   Printf.bprintf b "      \"bytes_per_state_at_most_32\": %b,\n"
     (packed_bytes_per_state <= 32.0);
@@ -1416,9 +1393,8 @@ let bench_json ~quick ~file ?baseline () =
         "bench: FAIL reach.packed graphs differ from the boxed builder\n";
       false
     end
-    else if not sharded_identical then begin
-      Printf.eprintf
-        "bench: FAIL reach.packed sharded arenas differ across --jobs\n";
+    else if not packed_jobs_identical then begin
+      Printf.eprintf "bench: FAIL reach.packed arenas differ across --jobs\n";
       false
     end
     else if
@@ -1549,42 +1525,10 @@ let bench_json ~quick ~file ?baseline () =
         false
       end
   in
-  (* the scaling gate: parallel efficiency of the sharded packed build
-     at jobs=4 must hold 0.70 — but only where the hardware can show
-     it.  On fewer than 4 cores (or the undersized quick ring, which
-     cannot amortize cross-shard traffic) the gate is announced as
-     skipped rather than silently passed, so a CI log always records
-     which verdict was reached and why. *)
-  let efficiency_ok =
-    match List.find_opt (fun (j, _, _) -> j = 4) ring_packed_jobs with
-    | Some (jobs, _, s) when cores >= 4 && not quick ->
-      let speedup = if s > 0.0 then ring_packed_s /. s else 0.0 in
-      let eff = speedup /. float_of_int jobs in
-      if eff >= 0.7 then begin
-        Printf.printf
-          "bench: reach.packed jobs=4 speedup %.2fx, efficiency %.2f \
-           (>=0.70): ok\n"
-          speedup eff;
-        true
-      end
-      else begin
-        Printf.eprintf
-          "bench: FAIL reach.packed jobs=4 parallel efficiency %.2f is \
-           below 0.70 (speedup %.2fx on %d cores)\n"
-          eff speedup cores;
-        false
-      end
-    | _ ->
-      Printf.printf
-        "bench: reach.packed efficiency gate SKIPPED (cores=%d, quick=%b; \
-         needs >=4 cores and the full-size ring)\n"
-        cores quick;
-      true
-  in
   if
     not
       (sim_ok && reach_ok && timed_rate_ok && budget_ok && packed_ok
-     && por_ok && timed_ok && efficiency_ok)
+     && por_ok && timed_ok)
   then exit 1
 
 let run_figures () =

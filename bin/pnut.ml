@@ -707,12 +707,13 @@ let reach_cmd =
          & info [ "packed" ] ~docv:"MODE"
              ~doc:"Compact bit-packed state store: auto (on when every \
                    place has a known bound), on, or off.  Cuts memory by \
-                   an order of magnitude on large graphs, and with \
-                   $(b,--jobs) > 1 builds sharded across that many \
-                   domains; the graph built is identical either way and \
-                   for every worker count.  Covers $(b,--timed) too: \
+                   an order of magnitude on large graphs; the graph built \
+                   is identical either way.  Covers $(b,--timed) too: \
                    state classes pack as marking fields plus an interned \
-                   (environment, firing-domain) id.")
+                   (environment, firing-domain) id.  $(b,--jobs) shards \
+                   only the packed timed class graph; the packed untimed \
+                   build is serial, with the same graph for every worker \
+                   count.")
   in
   let por =
     Arg.(value

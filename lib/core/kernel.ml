@@ -121,19 +121,23 @@ let predicated k = k.k_predicated
 
 (* -- the transition relation over the static arrays -- *)
 
+(* Plain loops, no local closures: the reachability builders call this
+   once per transition per expanded state, and a closure over [c] and
+   [m] would be allocated on every call. *)
 let token_enabled c m =
   let n = Array.length c.s_in_place in
-  let rec inputs i =
-    i >= n
-    || (Marking.get m c.s_in_place.(i) >= c.s_in_weight.(i) && inputs (i + 1))
-  in
+  let i = ref 0 in
+  while !i < n && Marking.get m c.s_in_place.(!i) >= c.s_in_weight.(!i) do
+    incr i
+  done;
+  !i >= n
+  &&
   let ni = Array.length c.s_inh_place in
-  let rec inhibitors i =
-    i >= ni
-    || (Marking.get m c.s_inh_place.(i) < c.s_inh_weight.(i)
-        && inhibitors (i + 1))
-  in
-  inputs 0 && inhibitors 0
+  let j = ref 0 in
+  while !j < ni && Marking.get m c.s_inh_place.(!j) < c.s_inh_weight.(!j) do
+    incr j
+  done;
+  !j >= ni
 
 let enabled ?prng c m env =
   token_enabled c m

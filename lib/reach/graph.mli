@@ -34,8 +34,8 @@ val build :
 (** Default cap: 100_000 states.  Raises [Invalid_argument] if the net
     has stochastic predicates or actions.
 
-    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) expands the BFS
-    frontier on that many domains; interning stays sequential in
+    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) expands the boxed
+    BFS frontier on that many domains; interning stays sequential in
     frontier order, so the resulting graph — state numbering, edge
     order, truncation — is identical for every [jobs] value.
 
@@ -43,13 +43,8 @@ val build :
     states are bit-packed (fields sized from
     {!Pnut_core.Incidence.place_bounds} with a checked widen path) and
     edges CSR-encoded, cutting memory by an order of magnitude at the
-    10^6+-state scale.  With [jobs > 1] the packed sweep runs sharded:
-    each domain owns the states hashing into its shard, interns them
-    lock-free and forwards cross-shard successors through SPSC
-    channels, and a deterministic merge renumbers the result — the
-    store is byte-identical to the serial sweep's for every [jobs]
-    value (nets with variables, layout overflows and cap hits fall back
-    to the serial sweep transparently).
+    10^6+-state scale.  The packed sweep is serial whatever [jobs] is,
+    so its store is the same for every [jobs] value.
 
     [por] (default [false]) applies the deadlock-preserving stubborn-set
     reduction of {!Stubborn}: at each state only the enabled members of
@@ -59,7 +54,7 @@ val build :
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
     deterministic function of the marking, so the graph is still
-    identical across [jobs] values and across the boxed/packed/sharded
+    identical across [jobs] values and across the boxed and packed
     builders' shared numbering.  Raises {!Stubborn.Unsupported} when
     the net has variables, tables, predicates or actions (pre-check
     with {!Stubborn.unsupported}). *)

@@ -197,11 +197,15 @@ let hash lay src ~pos =
   let h = !h lxor (!h lsr 29) in
   (h * fnv_prime) land max_int
 
-let equal lay a ~pos b pos2 =
-  let rec go i =
-    i >= lay.l_words || (a.(pos + i) = b.(pos2 + i) && go (i + 1))
-  in
-  go 0
+(* a plain loop: the intern probe calls this once per candidate slot,
+   and a local recursive closure would be allocated on every call *)
+let equal lay (a : int array) ~pos (b : int array) pos2 =
+  let n = lay.l_words in
+  let i = ref 0 in
+  while !i < n && a.(pos + !i) = b.(pos2 + !i) do
+    incr i
+  done;
+  !i >= n
 
 (* Widen the overflowing field to fit [value] and rebuild the layout;
    returns the previous layout so the caller can still decode states

@@ -12,8 +12,8 @@
     or edge counts, and path-sensitive queries must use the full build.
 
     The chosen set is a deterministic function of the marking, so every
-    builder (serial, layered, sharded) produces the same reduced graph
-    at any [--jobs] level. *)
+    builder (boxed serial, boxed layered, packed) produces the same
+    reduced graph at any [--jobs] level. *)
 
 (** Why a net falls outside the reduction's fragment. *)
 type unsupported_feature =
@@ -48,8 +48,8 @@ val create : Pnut_core.Kernel.t -> t
     {!unsupported} is [Some _] for the kernel's net. *)
 
 type scratch
-(** Mutable per-worker workspace ([O(num_transitions)] words).  Not
-    thread-safe; give each domain its own. *)
+(** Mutable per-worker workspace ([O(num_transitions)] words, plus the
+    memo once allocated).  Not thread-safe; give each domain its own. *)
 
 val scratch : t -> scratch
 
@@ -58,4 +58,19 @@ val fired : t -> scratch -> Pnut_core.Marking.t -> int array
     the smallest stubborn set found over a few candidate seeds, sorted
     ascending.  Empty iff the marking is a deadlock; equal to the full
     enabled set when no reduction applies.  All returned transitions
-    are token-enabled at the marking. *)
+    are token-enabled at the marking.
+
+    Memoized per scratch.  Every marking read the selection makes is a
+    threshold test [m(p) >= w] (input arc) or [m(p) < w] (inhibitor
+    arc), so the answer depends only on the marking's {e threshold
+    signature}: [min (m p) K_p] for each place [p] with an input or
+    inhibitor arc, where [K_p] is the largest such weight on [p],
+    packed into one int.  The scratch keeps a fixed-size table (at
+    most 4096 entries) from signatures to answers and returns the
+    stored array on a hit, so the result is the same as an unmemoized
+    call.  The table is allocated on the scratch's second call, so a
+    scratch used for one marking pays nothing for it.  Nets whose
+    signature needs more than 62 bits skip the memo.
+
+    The returned array may be shared with later calls on the same
+    scratch: read it, never mutate it. *)

@@ -178,11 +178,14 @@ let test_bounds_known () =
   Alcotest.(check bool) "pump q is unbounded" false
     (Packed.bounds_known (pump_net ()))
 
-(* -- the sharded parallel builder -- *)
+(* -- [jobs] leaves the packed build unchanged -- *)
+
+(* The packed untimed sweep is serial at every [jobs] value; these
+   checks pin that the value reaches nothing that changes the store. *)
 
 (* [places]-place token ring with [tokens] tokens in place 0:
    C(tokens + places - 1, places - 1) reachable states, variable-free,
-   with P-invariant bounds — the sharded builder's home turf. *)
+   with P-invariant bounds. *)
 let big_ring ~places ~tokens () =
   let b = B.create "bigring" in
   let ps =
@@ -229,8 +232,7 @@ let test_sharded_equals_boxed () =
 
 let test_jobs_sweep_identity () =
   (* 9-place ring with 12 tokens: C(20,8) = 125,970 states — past the
-     10^5 mark, so the sweep crosses many index growths, arena growths
-     and cross-shard message bursts on every jobs value *)
+     10^5 mark, so the sweep crosses many index and arena growths *)
   let net = big_ring ~places:9 ~tokens:12 () in
   let base = build_packed_jobs ~max_states:200_000 ~jobs:1 net in
   Alcotest.(check int) "expected state count" 125_970 (Graph.num_states base);
@@ -244,9 +246,7 @@ let test_jobs_sweep_identity () =
     [ 2; 4; 8 ]
 
 let test_jobs_sweep_capped_identity () =
-  (* under a states budget the degraded prefix must also be identical:
-     the sharded builder aborts on the cap and rebuilds serially, which
-     owns the exact truncation semantics *)
+  (* under a states budget the degraded prefix must also be identical *)
   let net = big_ring ~places:9 ~tokens:12 () in
   let build jobs =
     match
@@ -514,8 +514,7 @@ let build_spec_net spec =
     spec.sp_trans;
   B.build b
 
-(* random variable-free nets: arcs only, no predicates, no actions —
-   these route through the sharded fast path when jobs > 1 *)
+(* random variable-free nets: arcs only, no predicates, no actions *)
 let build_varfree_net spec =
   let b = B.create "plain" in
   let np = List.length spec.sp_tokens in

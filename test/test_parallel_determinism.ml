@@ -73,8 +73,8 @@ let check_packed_parity name net =
         && Graph.packed_arrays serial = Graph.packed_arrays parallel))
     [ 2; 4 ]
 
-(* the pipeline model is variable-free, so jobs > 1 routes through the
-   sharded builder; the interpreted net exercises its fallback gate *)
+(* the packed sweep is serial at every jobs value; the pipeline model
+   is variable-free and the interpreted net carries an environment *)
 let test_packed_pipeline () = check_packed_parity "pipeline" (pipeline ())
 
 let test_packed_interpreted () =

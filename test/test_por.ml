@@ -192,6 +192,150 @@ let prop_differential =
       then QCheck2.Test.fail_report "packed/boxed reduced builds disagree";
       true)
 
+(* -- the fired-set memo: keyed by the threshold signature -- *)
+
+(* Random nets with weighted input and inhibitor arcs.  With [~wide],
+   transition t0 also carries inhibitor arcs of weight 2^30 on three
+   places, so the signature needs more than 62 bits and [fired] skips
+   the memo. *)
+let random_weighted_net ~wide seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let np = 3 + int 6 in
+  let nt = 2 + int 8 in
+  let b = B.create (Printf.sprintf "weighted%d" seed) in
+  let places =
+    Array.init np (fun i -> B.add_place b (Printf.sprintf "p%d" i))
+  in
+  let arcs k w =
+    List.sort_uniq compare (List.init k (fun _ -> int np))
+    |> List.map (fun p -> (places.(p), 1 + int w))
+  in
+  for t = 0 to nt - 1 do
+    let inhibitors =
+      if wide && t = 0 then List.init 3 (fun p -> (places.(p), 1 lsl 30))
+      else if int 3 = 0 then arcs 1 5
+      else []
+    in
+    ignore
+      (B.add_transition b
+         (Printf.sprintf "t%d" t)
+         ~inputs:(arcs (1 + int 2) 4) ~inhibitors
+         ~outputs:(arcs (int 3) 3)
+        : Net.transition_id)
+  done;
+  B.build b
+
+(* K_p per place: the largest input or inhibitor weight on it, -1 when
+   no such arc reads the place *)
+let threshold_caps net =
+  let cap = Array.make (Net.num_places net) (-1) in
+  Array.iter
+    (fun tr ->
+      List.iter
+        (fun a -> cap.(a.Net.a_place) <- max cap.(a.Net.a_place) a.Net.a_weight)
+        (tr.Net.t_inputs @ tr.Net.t_inhibitors))
+    (Net.transitions net);
+  cap
+
+(* A warmed scratch answers from its memo, a fresh one computes: they
+   must agree.  Each round warms one scratch at a twin of [m] (same
+   signature, different counts), then at [m]'s one-token neighbours,
+   whose signatures differ from [m]'s exactly when a count crosses a
+   threshold, and checks every answer, [m]'s last. *)
+let prop_memo_signature =
+  QCheck2.Test.make
+    ~name:"fired on a warmed scratch equals fired on a fresh one"
+    ~count:300 ~print:(Printf.sprintf "net seed %d")
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let wide = seed mod 5 = 0 in
+      let net = random_weighted_net ~wide seed in
+      let sb = Stubborn.create (Pnut_core.Kernel.of_net net) in
+      let cap = threshold_caps net in
+      let np = Array.length cap in
+      let rng = Random.State.make [| seed; 1 |] in
+      let marking () =
+        Array.map
+          (fun k -> Random.State.full_int rng (if k > 8 then k + 2 else 9))
+          cap
+      in
+      (* same signature: clamped counts agree, unread places are free *)
+      let twin m =
+        Array.mapi
+          (fun p v ->
+            if cap.(p) < 0 then Random.State.int rng 9
+            else if v >= cap.(p) then cap.(p) + Random.State.int rng 3
+            else v)
+          m
+      in
+      let neighbours m =
+        List.concat_map
+          (fun p ->
+            List.filter_map
+              (fun d ->
+                let v = m.(p) + d in
+                if v < 0 then None
+                else begin
+                  let m' = Array.copy m in
+                  m'.(p) <- v;
+                  Some m'
+                end)
+              [ -1; 1 ])
+          (List.init np Fun.id)
+      in
+      let fired sc m = Stubborn.fired sb sc (Pnut_core.Marking.of_array m) in
+      let show a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+      for round = 1 to 20 do
+        let m = marking () in
+        let warm = Stubborn.scratch sb in
+        let m' = twin m in
+        (* the twin twice: the memo starts on a scratch's second call *)
+        List.iter
+          (fun q ->
+            let expected = fired (Stubborn.scratch sb) q in
+            let got = fired warm q in
+            if got <> expected then
+              QCheck2.Test.fail_reportf
+                "net seed %d (wide=%b), round %d, marking [%s]: fresh [%s] \
+                 vs warmed [%s]"
+                seed wide round (show q) (show expected) (show got))
+          ((m' :: m' :: neighbours m) @ [ m' ; m ])
+      done;
+      true)
+
+(* The returned arrays are shared through the memo: a warmed scratch
+   hands back the same physical array for the same signature.  A net
+   whose signature needs more than 62 bits never memoizes, so every
+   call allocates afresh. *)
+let test_memo_sharing () =
+  let one_shot ~wide =
+    (* the first seed whose net has an enabled transition at m *)
+    let rec go seed =
+      let net = random_weighted_net ~wide seed in
+      let sb = Stubborn.create (Pnut_core.Kernel.of_net net) in
+      let m = Pnut_core.Marking.of_array (Array.make (Net.num_places net) 4) in
+      let sc = Stubborn.scratch sb in
+      let a = Stubborn.fired sb sc m in
+      if Array.length a = 0 then go (seed + 1)
+      else
+        let b = Stubborn.fired sb sc m in
+        let c = Stubborn.fired sb sc m in
+        (seed, a = b && b = c, b == c)
+    in
+    go 1
+  in
+  let seed, same, shared = one_shot ~wide:false in
+  Alcotest.(check bool) (Printf.sprintf "seed %d: same set" seed) true same;
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d: memoized array shared" seed)
+    true shared;
+  let seed, same, shared = one_shot ~wide:true in
+  Alcotest.(check bool) (Printf.sprintf "wide seed %d: same set" seed) true same;
+  Alcotest.(check bool)
+    (Printf.sprintf "wide seed %d: over 62 signature bits, no memo" seed)
+    false shared
+
 (* -- budgets: truncation still degrades gracefully under por -- *)
 
 let test_budget_truncation () =
@@ -279,6 +423,12 @@ let () =
             test_unsupported;
           Alcotest.test_case "prefetch model agrees" `Quick
             test_prefetch_model_differential;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "memoized arrays are shared" `Quick
+            test_memo_sharing;
+          QCheck_alcotest.to_alcotest prop_memo_signature;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_differential ]);
     ]
