@@ -791,7 +791,7 @@ let bench_json ~quick ~file ?baseline () =
   (* reachability: the compiled kernel expansion against the frozen
      interpreted expansion (same hashconsed keys) and the older
      string-key construction, on the Figure 1-3 pipeline and the
-     branching model, plus the worker-domain sweep *)
+     branching model *)
   let reach_cap = if quick then 10_000 else 20_000 in
   let reach_reps = if quick then 3 else 5 in
   let legacy_states, legacy_s =
@@ -814,18 +814,6 @@ let bench_json ~quick ~file ?baseline () =
   let _, kernel_states, kernel_s =
     match reach_models with r :: _ -> r | [] -> assert false
   in
-  let reach =
-    List.map
-      (fun jobs ->
-        let g, s =
-          wall (fun () ->
-              Pnut_reach.Graph.build ~max_states:reach_cap ~jobs net)
-        in
-        (jobs, Pnut_reach.Graph.num_states g, s))
-      job_counts
-  in
-  let _, hc_states, hc_serial_s = List.hd reach in
-  Pnut_exec.Pool.quiesce ();
   (* PR 7: the compact arena store against the boxed store.  The model
      is a 9-place token ring (states = C(N+8,8): N=17 gives 1,081,575,
      N=10 the quick run's 43,758) — big enough that per-state boxing
@@ -1222,22 +1210,6 @@ let bench_json ~quick ~file ?baseline () =
         (if i = List.length reach_models - 1 then "" else ","))
     reach_models;
   Printf.bprintf b "    ],\n";
-  Printf.bprintf b "    \"jobs_sweep\": [\n";
-  List.iteri
-    (fun i (jobs, states, s) ->
-      let speedup = if s > 0.0 then hc_serial_s /. s else 0.0 in
-      Printf.bprintf b
-        "      { \"jobs\": %d, \"states\": %d, \"seconds\": %.6f, \
-         \"states_per_sec\": %.0f, \"speedup_vs_legacy\": %.3f, \
-         \"parallel_efficiency\": %.3f }%s\n"
-        jobs states s (rate states s)
-        (if s > 0.0 then legacy_s /. s else 0.0)
-        (speedup /. float_of_int jobs)
-        (if i = List.length reach - 1 then "" else ","))
-    reach;
-  Printf.bprintf b "    ],\n";
-  Printf.bprintf b
-    "    \"hashconsed_serial_faster_than_legacy\": %b,\n" (hc_serial_s < legacy_s);
   Printf.bprintf b "    \"packed\": {\n";
   Printf.bprintf b
     "      \"model\": \"ring9\", \"tokens\": %d, \"states\": %d, \
@@ -1365,7 +1337,7 @@ let bench_json ~quick ~file ?baseline () =
   output_string oc (Buffer.contents b);
   close_out oc;
   Printf.printf "wrote %s (cores=%d, reach %d vs %d states, identical=%b)\n"
-    file cores legacy_states hc_states rep_identical;
+    file cores legacy_states kernel_states rep_identical;
   let gate name current = function
     | None -> true
     | Some base ->
@@ -1500,8 +1472,8 @@ let bench_json ~quick ~file ?baseline () =
   in
   (* an armed-but-untripped budget must stay within 3% of the committed
      unbudgeted events/sec baseline — the monitor poll rides the
-     existing watchdog cadence, so anything slower means a check leaked
-     into the hot loop.  Gating against the committed number (like the
+     simulator's 256-step budget slot, so anything slower means a check
+     leaked into the hot loop.  Gating against the committed number (like the
      other gates) keeps the verdict out of same-process scheduler
      noise; the measured plain/budgeted ratio is still in the JSON. *)
   let budgeted_rate = rate budgeted_outcome.Sim.started budgeted_s in

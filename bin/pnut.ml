@@ -28,8 +28,6 @@ let write_file path contents =
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 
-let exit_degraded = 3
-
 (* Budget flags, shared by every long-running subcommand.  No flags →
    no budget (zero overhead); a tripped budget degrades gracefully:
    partial output, a diagnostic on stderr, exit 3. *)
@@ -52,12 +50,30 @@ let budget_arg =
   in
   Term.(const mk $ wall $ heap)
 
-(* Report a budget trip on stderr; callers exit [exit_degraded] after
-   emitting whatever partial output they have. *)
-let report_degraded what reason progress =
-  Format.eprintf "%s degraded: %s (%a)@." what
-    (Pnut_exec.Supervisor.reason_message reason)
-    Pnut_exec.Supervisor.pp_progress progress
+(* Supervised outcomes, handled once for every subcommand.  [settle]
+   returns the payload — complete, or the valid partial prefix of a
+   degraded run — and queues a degraded run's reason and progress.
+   [exit_if_degraded] reports the queue on stderr and exits 3; each
+   command calls it after all of its output, at the place its
+   exit-code precedence gives degradation. *)
+let degradations = ref []
+
+let settle what = function
+  | Pnut_exec.Supervisor.Complete v -> v
+  | Pnut_exec.Supervisor.Degraded { reason; partial; progress } ->
+    degradations := (what, reason, progress) :: !degradations;
+    partial
+
+let exit_if_degraded () =
+  if !degradations <> [] then begin
+    List.iter
+      (fun (what, reason, progress) ->
+        Format.eprintf "%s degraded: %s (%a)@." what
+          (Pnut_exec.Supervisor.reason_message reason)
+          Pnut_exec.Supervisor.pp_progress progress)
+      (List.rev !degradations);
+    exit 3
+  end
 
 (* Parse a mini-language argument (query, signal, CTL formula), exiting
    2 with a uniform location message on failure. *)
@@ -293,10 +309,10 @@ module type SIM_ENGINE = sig
     ?hooks:Pnut_sim.Simulator.hooks ->
     Pnut_core.Net.t -> Pnut_sim.Checkpoint.t -> t
 
-  val run :
-    ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
-    ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
-    t -> Pnut_sim.Simulator.outcome
+  val run_supervised :
+    ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
+    ?finish:bool -> t ->
+    Pnut_sim.Simulator.outcome Pnut_exec.Supervisor.outcome
 
   val checkpoint : t -> Pnut_sim.Checkpoint.t
   val diagnose : t -> Pnut_sim.Simulator.diagnosis
@@ -375,7 +391,6 @@ let sim_cmd =
       Option.map (fun (oc, _) -> trace_writer_sink format oc) trace_chan
     in
     let aborted = ref false in
-    let degraded = ref false in
     for run_number = 1 to runs do
       let stat_sink, stat_get = Pnut_stat.Stat.sink ~run:run_number () in
       let sinks =
@@ -407,11 +422,8 @@ let sim_cmd =
           in
           E.create ~prng ~sink net
       in
-      match E.run ?until ?max_events ?budget st with
+      match settle "sim" (E.run_supervised ?until ?max_events ?budget st) with
       | outcome ->
-        (match outcome.Pnut_sim.Simulator.stop with
-        | Pnut_sim.Simulator.Budget_exhausted _ -> degraded := true
-        | _ -> ());
         if stats || trace_out = None then
           print_string (Pnut_stat.Stat.render (stat_get ()));
         if runs > 1 then print_newline ();
@@ -442,7 +454,7 @@ let sim_cmd =
     done;
     Option.iter close_trace_out trace_chan;
     if !aborted then exit 1;
-    if !degraded then exit exit_degraded
+    exit_if_degraded ()
   in
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(const run $ net_arg $ seed_arg $ until_arg $ max_events_arg
@@ -514,7 +526,7 @@ let faults_cmd =
         ~jobs net specs
     with
     | outcome ->
-      let report = Pnut_exec.Supervisor.value outcome in
+      let report = settle "campaign" outcome in
       print_string
         (if csv then Pnut_fault.Campaign.render_csv report
          else Pnut_fault.Campaign.render report);
@@ -527,11 +539,7 @@ let faults_cmd =
                 r.Pnut_fault.Campaign.rr_run d
             | None -> ())
           report.Pnut_fault.Campaign.cr_faulty;
-      (match outcome with
-      | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-        report_degraded "campaign" reason progress;
-        exit exit_degraded
-      | Pnut_exec.Supervisor.Complete _ -> ());
+      exit_if_degraded ();
       if
         Pnut_fault.Campaign.deadlocks report > 0
         || Pnut_fault.Campaign.errors report > 0
@@ -734,13 +742,6 @@ let reach_cmd =
     (* On a budget trip the partial graph is still a valid prefix:
        summarize it, run the CTL/query checks on it (a failure on the
        prefix is a failure on the full graph), then exit 3. *)
-    let finish_outcome outcome =
-      match outcome with
-      | Pnut_exec.Supervisor.Complete _ -> ()
-      | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-        report_degraded "reach" reason progress;
-        exit exit_degraded
-    in
     if explicit && not timed then die "--explicit only applies to --timed";
     if timed then begin
       if por = `On then
@@ -750,15 +751,15 @@ let reach_cmd =
         if packed = `On then
           die "--packed on: the explicit timed expansion is boxed only; \
                drop --explicit for the packed state-class graph";
-        let outcome =
-          Pnut_reach.Timed_explicit.build_supervised ~max_states ?budget net
+        let g =
+          settle "reach"
+            (Pnut_reach.Timed_explicit.build_supervised ~max_states ?budget
+               net)
         in
-        let g = Pnut_exec.Supervisor.value outcome in
         Format.printf "%a@." Pnut_reach.Timed_explicit.pp_summary g;
         Printf.eprintf "reach: states=%d edges=%d bytes/state=-\n%!"
           (Pnut_reach.Timed_explicit.num_states g)
-          (Pnut_reach.Timed_explicit.num_edges g);
-        finish_outcome outcome
+          (Pnut_reach.Timed_explicit.num_edges g)
       end
       else begin
         let packed =
@@ -767,11 +768,11 @@ let reach_cmd =
           | `Off -> false
           | `Auto -> Pnut_reach.Packed.bounds_known net
         in
-        let outcome =
-          Pnut_reach.Timed.build_supervised ~max_states ~jobs ~packed ?budget
-            net
+        let g =
+          settle "reach"
+            (Pnut_reach.Timed.build_supervised ~max_states ~jobs ~packed
+               ?budget net)
         in
-        let g = Pnut_exec.Supervisor.value outcome in
         Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
         let bytes_per_state =
           match Pnut_reach.Timed.packed_bytes_per_state g with
@@ -782,8 +783,7 @@ let reach_cmd =
           (Pnut_reach.Timed.num_states g)
           (Pnut_reach.Timed.num_edges g)
           (Pnut_reach.Timed.num_vectors g)
-          bytes_per_state;
-        finish_outcome outcome
+          bytes_per_state
       end
     end
     else begin
@@ -807,11 +807,11 @@ let reach_cmd =
           ctl = [] && query = []
           && Pnut_reach.Stubborn.unsupported net = None
       in
-      let outcome =
-        Pnut_reach.Graph.build_supervised ~max_states ~jobs ?budget ~packed
-          ~por net
+      let g =
+        settle "reach"
+          (Pnut_reach.Graph.build_supervised ~max_states ~jobs ?budget ~packed
+             ~por net)
       in
-      let g = Pnut_exec.Supervisor.value outcome in
       Format.printf "%a@." Pnut_reach.Graph.pp_summary g;
       (* One-line machine-grepable stats on stderr.  por_reduction is the
          per-state branching reduction (token-enabled firings the full
@@ -866,9 +866,9 @@ let reach_cmd =
           | exception Pnut_tracer.Query.Query_error msg ->
             die "query %S: %s" q msg)
         query;
-      if !failures > 0 then exit 1;
-      finish_outcome outcome
-    end
+      if !failures > 0 then exit 1
+    end;
+    exit_if_degraded ()
   in
   Cmd.v (Cmd.info "reach" ~doc)
     Term.(const run $ net_arg $ timed $ explicit $ max_states $ ctl $ query
@@ -969,14 +969,14 @@ let analytic_cmd =
         or_die (fun () -> Pnut_analytic.Gspn.exponential_variant net)
       else net
     in
-    let outcome =
+    let r =
       try
-        or_die (fun () ->
-            Pnut_analytic.Gspn.analyze_supervised ~max_states ?budget net)
+        settle "analytic"
+          (or_die (fun () ->
+               Pnut_analytic.Gspn.analyze_supervised ~max_states ?budget net))
       with Pnut_analytic.Gspn.Too_many_states r ->
         die "%s" (Pnut_analytic.Gspn.rejection_message r)
     in
-    let r = Pnut_exec.Supervisor.value outcome in
     Printf.printf "tangible states:  %d\n" r.Pnut_analytic.Gspn.tangible_states;
     Printf.printf "vanishing states: %d\n\n" r.Pnut_analytic.Gspn.vanishing_states;
     Printf.printf "%-32s %12s\n" "place" "mean tokens";
@@ -991,11 +991,7 @@ let analytic_cmd =
         Printf.printf "%-32s %12.6f\n"
           (Pnut_core.Net.transition net t).Pnut_core.Net.t_name thr)
       r.Pnut_analytic.Gspn.throughputs;
-    match outcome with
-    | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-      report_degraded "analytic" reason progress;
-      exit exit_degraded
-    | Pnut_exec.Supervisor.Complete _ -> ()
+    exit_if_degraded ()
   in
   Cmd.v (Cmd.info "analytic" ~doc)
     Term.(const run $ net_arg $ exponentialize $ max_states $ budget_arg)
@@ -1010,22 +1006,19 @@ let coverability_cmd =
   in
   let run path max_states budget =
     let net = load_net path in
-    let outcome =
+    let g =
       try
-        or_die (fun () ->
-            Pnut_reach.Coverability.build_supervised ~max_states ?budget net)
+        settle "coverability"
+          (or_die (fun () ->
+               Pnut_reach.Coverability.build_supervised ~max_states ?budget
+                 net))
       with Pnut_reach.Coverability.Unsupported r ->
         die "%s" (Pnut_reach.Coverability.rejection_message r)
     in
-    let g = Pnut_exec.Supervisor.value outcome in
     Format.printf "%a@." (Pnut_reach.Coverability.pp_summary net) g;
     (* A tripped budget means the verdict below would be drawn from an
        incomplete tree, so degradation takes precedence over it. *)
-    (match outcome with
-    | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-      report_degraded "coverability" reason progress;
-      exit exit_degraded
-    | Pnut_exec.Supervisor.Complete _ -> ());
+    exit_if_degraded ();
     if not (Pnut_reach.Coverability.is_bounded g) then exit 1
   in
   Cmd.v (Cmd.info "coverability" ~doc)
@@ -1054,27 +1047,18 @@ let dot_cmd =
     (* Graph-building kinds run under the shared budget flags like any
        other long-running subcommand: on a trip the dot of the partial
        graph (a valid prefix) is still written, then exit 3. *)
-    let degraded = ref false in
-    let supervised what_name outcome =
-      match outcome with
-      | Pnut_exec.Supervisor.Complete g -> g
-      | Pnut_exec.Supervisor.Degraded { reason; progress; partial } ->
-        report_degraded what_name reason progress;
-        degraded := true;
-        partial
-    in
     let text =
       match what with
       | `Net_graph -> Pnut_core.Dot.net net
       | `Reach ->
         Pnut_reach.Export.graph_dot
-          (supervised "dot"
+          (settle "dot"
              (or_die (fun () ->
                   Pnut_reach.Graph.build_supervised ~max_states ?budget net)))
       | `Cov ->
         let g =
           try
-            supervised "dot"
+            settle "dot"
               (or_die (fun () ->
                    Pnut_reach.Coverability.build_supervised ~max_states ?budget
                      net))
@@ -1086,7 +1070,7 @@ let dot_cmd =
     (match out with
     | Some path -> write_file path text
     | None -> print_string text);
-    if !degraded then exit exit_degraded
+    exit_if_degraded ()
   in
   Cmd.v (Cmd.info "dot" ~doc)
     Term.(const run $ net_arg $ what $ max_states $ out $ budget_arg)
@@ -1119,25 +1103,19 @@ let replicate_cmd =
     let net = load_net path in
     if place = [] && transition = [] then
       die "nothing to estimate: pass --place and/or --throughput";
-    let degraded = ref false in
     let estimate what read =
       match
         Pnut_stat.Replication.replicate_supervised ~seed ~confidence ~jobs
           ?budget ~runs ~until net read
       with
       | outcome ->
-        let p = Pnut_exec.Supervisor.value outcome in
+        let p = settle what outcome in
         (match p.Pnut_stat.Replication.pr_estimate with
         | Some e -> Format.printf "%-40s %a@." what Pnut_stat.Replication.pp e
         | None ->
           Format.printf "%-40s (no estimate: %d of %d replications done)@."
             what p.Pnut_stat.Replication.pr_completed
-            p.Pnut_stat.Replication.pr_requested);
-        (match outcome with
-        | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-          degraded := true;
-          report_degraded what reason progress
-        | Pnut_exec.Supervisor.Complete _ -> ())
+            p.Pnut_stat.Replication.pr_requested)
       | exception Not_found -> die "unknown place/transition in %s" what
     in
     List.iter
@@ -1148,7 +1126,7 @@ let replicate_cmd =
       (fun t ->
         estimate (t ^ " throughput") (fun r -> Pnut_stat.Stat.throughput r t))
       transition;
-    if !degraded then exit exit_degraded
+    exit_if_degraded ()
   in
   Cmd.v (Cmd.info "replicate" ~doc)
     Term.(const run $ net_arg $ seed_arg $ runs $ until $ place $ transition

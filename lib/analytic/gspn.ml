@@ -62,11 +62,7 @@ type state = {
 
 let explore ?(max_states = 2000) ~monitor net kinds =
   let monitored = Supervisor.active monitor in
-  let max_states =
-    match Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+  let max_states = Supervisor.state_cap monitor max_states in
   let kernel = Kernel.of_net net in
   let trans = Kernel.transitions kernel in
   let readers = Kernel.readers kernel in
@@ -351,15 +347,8 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
   (* An exploration trip outranks a solve trip: it is the first budget
      violation and explains why the chain is a prefix at all. *)
   let trip = match trip with Some _ -> trip | None -> !solve_trip in
-  match trip with
-  | None -> Supervisor.Complete result
-  | Some reason ->
-    Supervisor.Degraded
-      {
-        reason;
-        partial = result;
-        progress = Supervisor.snapshot monitor ~visited:n ~frontier;
-      }
+  Supervisor.verdict monitor ~stop:trip ~capped:false ~visited:n ~frontier
+    result
 
 let analyze ?max_states ?tolerance ?max_iterations net =
   Supervisor.value

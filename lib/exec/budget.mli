@@ -5,7 +5,7 @@
     optional cooperative cancellation token.  It does nothing by
     itself; consumers hand it to {!Supervisor.start} and poll the
     resulting monitor on their existing cheap cadences (the simulator's
-    256-step watchdog slot, the reachability interning loop).
+    256-step budget slot, the reachability interning loop).
 
     All limits are optional and independent; {!none} is the empty
     budget, under which every check is a near-free no-op. *)

@@ -77,6 +77,11 @@ let check m =
 let max_states m = m.budget.Budget.max_states
 let max_events m = m.budget.Budget.max_events
 
+let state_cap m default =
+  match m.budget.Budget.max_states with
+  | Some cap -> min cap default
+  | None -> default
+
 let states_over m n =
   match m.budget.Budget.max_states with
   | Some cap when n >= cap -> Some (States n)
@@ -94,3 +99,11 @@ let snapshot m ~visited ~frontier =
     visited;
     frontier;
   }
+
+let verdict m ~stop ~capped ~visited ~frontier partial =
+  let degraded reason =
+    Degraded { reason; partial; progress = snapshot m ~visited ~frontier }
+  in
+  match stop with
+  | Some reason -> degraded reason
+  | None -> if capped then degraded (States visited) else Complete partial

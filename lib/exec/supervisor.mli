@@ -73,8 +73,26 @@ val events_over : monitor -> int -> reason option
 val max_states : monitor -> int option
 val max_events : monitor -> int option
 
+val state_cap : monitor -> int -> int
+(** [state_cap m default] is the state cap a builder enforces: the
+    budget's [max_states] tightens the builder's own [default]. *)
+
 val elapsed : monitor -> float
 (** Wall-clock seconds since {!start}. *)
 
 val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** Progress record at this instant. *)
+
+val verdict :
+  monitor ->
+  stop:reason option ->
+  capped:bool ->
+  visited:int ->
+  frontier:int ->
+  'a ->
+  'a outcome
+(** The outcome of a supervised run that stopped for [stop] (a budget
+    trip seen by {!check}) or hit its own state cap ([capped]):
+    [Degraded] carrying the partial payload and a progress snapshot
+    with [visited] and [frontier], or [Complete] when neither happened.
+    A budget trip outranks the cap; a cap alone is [States visited]. *)

@@ -42,7 +42,7 @@ type raw_run = {
 (* One experiment: plain when [compiled] is None, segmented around the
    fault token pulses otherwise.  [finish:false] keeps the stat sink
    open across segments; the final call closes it. *)
-let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
+let one_run ?budget ~prng ~until ~compiled net =
   let stat_sink, stat_get = Stat.sink () in
   let hooks =
     match compiled with
@@ -53,14 +53,14 @@ let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
   match
     let rec segments () =
       match compiled with
-      | None -> Simulator.run ~until ?wall_limit_s ?budget st
+      | None -> Simulator.run ~until ?budget st
       | Some c -> (
         match Fault.next_pulse c ~after:(Simulator.clock st) with
         | Some t when t < until ->
           let tripped =
             if t > Simulator.clock st then
               let seg =
-                Simulator.run ~until:t ?wall_limit_s ?budget ~finish:false st
+                Simulator.run ~until:t ?budget ~finish:false st
               in
               match seg.Simulator.stop with
               | Simulator.Budget_exhausted _ -> Some seg
@@ -72,7 +72,7 @@ let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
           | None ->
             Fault.apply_pulses c ~at:t st;
             segments ())
-        | Some _ | None -> Simulator.run ~until ?wall_limit_s ?budget st)
+        | Some _ | None -> Simulator.run ~until ?budget st)
     in
     segments ()
   with
@@ -134,8 +134,8 @@ let fault_error fmt =
     (fun s -> raise (Simulator.Sim_error (Simulator.Fault_error s)))
     fmt
 
-let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
-    ?jobs ~budget ~monitor net specs =
+let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?jobs
+    ~budget ~monitor net specs =
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
   if until <= 0.0 then invalid_arg "Campaign.run: horizon must be positive";
   Fault.validate net specs;
@@ -158,7 +158,7 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
   (* The campaign-level wall budget is a shared absolute deadline: each
      run starts with whatever wall time is left, so once the deadline
      passes every in-flight twin (on any worker domain) degrades at its
-     next watchdog slot instead of running to its own full horizon. *)
+     next budget slot instead of running to its own full horizon. *)
   let run_budget () =
     if Budget.is_none budget then None
     else
@@ -175,12 +175,12 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
         let sim_stream, fault_stream = streams.(i) in
         let budget = run_budget () in
         let baseline =
-          one_run ?wall_limit_s ?budget ~prng:(Prng.copy sim_stream) ~until
+          one_run ?budget ~prng:(Prng.copy sim_stream) ~until
             ~compiled:None net
         in
         let compiled = Fault.compile ~prng:fault_stream net specs in
         let faulty =
-          one_run ?wall_limit_s ?budget ~prng:(Prng.copy sim_stream) ~until
+          one_run ?budget ~prng:(Prng.copy sim_stream) ~until
             ~compiled:(Some compiled) net
         in
         (* The hooks mutate [compiled] during the run; read the counters
@@ -227,8 +227,8 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
     cr_tokens_injected = !injected;
   }
 
-let run ?seed ?runs ?until ?observe ?wall_limit_s ?jobs net specs =
-  run_core ?seed ?runs ?until ?observe ?wall_limit_s ?jobs
+let run ?seed ?runs ?until ?observe ?jobs net specs =
+  run_core ?seed ?runs ?until ?observe ?jobs
     ~budget:Budget.none
     ~monitor:(Supervisor.start Budget.none)
     net specs
@@ -248,31 +248,20 @@ let first_exhausted report =
   in
   zip (report.cr_baseline, report.cr_faulty)
 
-let run_supervised ?seed ?runs ?until ?observe ?wall_limit_s ?jobs ?budget net
-    specs =
+let run_supervised ?seed ?runs ?until ?observe ?jobs ?budget net specs =
   let budget = Option.value budget ~default:Budget.none in
   let monitor = Supervisor.start budget in
   let report =
-    run_core ?seed ?runs ?until ?observe ?wall_limit_s ?jobs ~budget ~monitor
-      net specs
+    run_core ?seed ?runs ?until ?observe ?jobs ~budget ~monitor net specs
   in
-  match first_exhausted report with
-  | None -> Supervisor.Complete report
-  | Some reason ->
-    let intact =
-      List.length
-        (List.filter
-           (fun r -> match r.rr_class with Exhausted _ -> false | _ -> true)
-           report.cr_faulty)
-    in
-    Supervisor.Degraded
-      {
-        reason;
-        partial = report;
-        progress =
-          Supervisor.snapshot monitor ~visited:intact
-            ~frontier:(report.cr_runs - intact);
-      }
+  let intact =
+    List.length
+      (List.filter
+         (fun r -> match r.rr_class with Exhausted _ -> false | _ -> true)
+         report.cr_faulty)
+  in
+  Supervisor.verdict monitor ~stop:(first_exhausted report) ~capped:false
+    ~visited:intact ~frontier:(report.cr_runs - intact) report
 
 let mean_throughput results =
   match results with

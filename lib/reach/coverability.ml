@@ -154,11 +154,7 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   check_plain net;
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let budget_stop = ref None in
   let frontier_left = ref 0 in
   let pops = ref 0 in
@@ -229,29 +225,9 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let succ = Array.make !n [] in
   List.iter (fun e -> succ.(e.e_from) <- e :: succ.(e.e_from)) !edge_acc;
   Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-  let complete = not !truncated && !budget_stop = None in
-  let g = { nodes = arr; succ; complete } in
-  match !budget_stop with
-  | Some reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = g;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:!n
-            ~frontier:!frontier_left;
-      }
-  | None ->
-    if !truncated then
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason = Pnut_exec.Supervisor.States !n;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:!n
-              ~frontier:!frontier_left;
-        }
-    else Pnut_exec.Supervisor.Complete g
+  Pnut_exec.Supervisor.verdict monitor ~stop:!budget_stop ~capped:!truncated
+    ~visited:!n ~frontier:!frontier_left
+    { nodes = arr; succ; complete = not !truncated && !budget_stop = None }
 
 let build ?max_states net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states net)

@@ -122,50 +122,6 @@ let stochastic_parts net =
          in
          pred_bad @ action_bad)
 
-(* Successors of one concrete state: fire every enabled transition on
-   fresh copies and snapshot the result into a hashconsed key.  The
-   firing semantics come from the compiled kernel: arc-array enabling
-   tests and effects, predicates and actions interpreted against the
-   per-state environment.  Action-free transitions share the parent
-   environment instead of copying it (the keys are structural, and
-   expansions only ever read shared environments), so the common
-   variable-free nets allocate nothing per successor beyond the
-   marking.  Pure with respect to shared state, so frontier states can
-   be expanded on worker domains.
-
-   With [?stubborn], only the enabled members of the state's stubborn
-   set fire (the set is a deterministic function of the marking, so the
-   layered parallel sweep stays order-identical to the serial one); a
-   fresh scratch per call keeps the workers independent, and a scratch
-   used once never allocates its memo. *)
-let expand ?stubborn kernel marking env =
-  let out = ref [] in
-  let fire (c : Kernel.ctrans) =
-    let m' = Marking.copy marking in
-    Kernel.apply c m';
-    let env' =
-      if c.Kernel.s_has_action then begin
-        let env' = Env.copy env in
-        Kernel.run_action env' c;
-        env'
-      end
-      else env
-    in
-    out := (c.Kernel.s_id, Statekey.make m' env', m', env') :: !out
-  in
-  (match stubborn with
-  | Some sb ->
-    (* stubborn nets are predicate-free, so token-enabled = enabled *)
-    let trans = Kernel.transitions kernel in
-    let sc = Stubborn.scratch sb in
-    Array.iter (fun tid -> fire trans.(tid)) (Stubborn.fired sb sc marking)
-  | None ->
-    Array.iter
-      (fun (c : Kernel.ctrans) ->
-        if Kernel.enabled c marking env then fire c)
-      (Kernel.transitions kernel));
-  List.rev !out
-
 (* The packed sweep: a serial FIFO over state indices.  The popped
    state is decoded into a scratch array once; each enabled transition
    fires on a second scratch (blit + kernel apply — no per-edge
@@ -261,42 +217,20 @@ let build_supervised ?(max_states = 100_000) ?jobs
       ^ String.concat ", " (List.sort_uniq String.compare bad)));
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let kernel = Kernel.of_net net in
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
      pre-check with Stubborn.unsupported. *)
   let stubborn = if por then Some (Stubborn.create kernel) else None in
-  (* Resolved (and validated) on both paths, but only the boxed sweep
-     uses it: the packed sweep is serial whatever [jobs] is. *)
-  let jobs = Pnut_exec.Pool.resolve ?jobs () in
+  (* Validated (and warned about when oversubscribed), but unused:
+     both sweeps are serial. *)
+  ignore (Pnut_exec.Pool.resolve ?jobs () : int);
   let finish ~repr ~truncated ~budget_stop ~frontier_left ~n ~n_edges =
     let complete = (not truncated) && budget_stop = None in
-    let g = { net; repr; complete; n_edges } in
-    match budget_stop with
-    | Some reason ->
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n
-              ~frontier:frontier_left;
-        }
-    | None ->
-      if truncated then
-        Pnut_exec.Supervisor.Degraded
-          {
-            reason = Pnut_exec.Supervisor.States n;
-            partial = g;
-            progress =
-              Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-          }
-      else Pnut_exec.Supervisor.Complete g
+    Pnut_exec.Supervisor.verdict monitor ~stop:budget_stop ~capped:truncated
+      ~visited:n ~frontier:frontier_left
+      { net; repr; complete; n_edges }
   in
   if packed then begin
     let spill_threshold =
@@ -350,25 +284,21 @@ let build_supervised ?(max_states = 100_000) ?jobs
   (match intern (Statekey.make m0 env0) with
   | Some (0, true) -> ()
   | Some _ | None -> assert false);
-  (* Serial: a plain FIFO sweep — the expansion of one state interns
-     its successors and records its edges inline, with no intermediate
-     successor lists or layer arrays.  Parallel: breadth-first by
-     layers; workers expand the frontier in parallel (the expensive
-     part: enabling tests, predicate/action evaluation, structural
-     hashing) and the single interning pass then walks the results in
-     frontier order.  FIFO visit order equals layer-by-frontier order,
-     so state numbering, edge order and truncation behaviour are
-     identical for every [jobs] value. *)
-  (if jobs = 1 then begin
-     let q = Queue.create () in
-     Queue.add (0, m0, env0) q;
-     let trans = Kernel.transitions kernel in
-     let sb_scratch = Option.map Stubborn.scratch stubborn in
-     let pops = ref 0 in
-     (* Budget checks ride the dequeue boundary every 256 states, so a
-        budgeted sweep that completes interns exactly the same states in
-        exactly the same order as an unbudgeted one. *)
-     (try
+  (* A plain FIFO sweep: the expansion of one state interns its
+     successors and records its edges inline, with no intermediate
+     successor lists.  Firing goes through the compiled kernel on fresh
+     copies; action-free transitions share the parent environment
+     instead of copying it (the keys are structural, and expansions
+     only ever read shared environments). *)
+  let q = Queue.create () in
+  Queue.add (0, m0, env0) q;
+  let trans = Kernel.transitions kernel in
+  let sb_scratch = Option.map Stubborn.scratch stubborn in
+  let pops = ref 0 in
+  (* Budget checks ride the dequeue boundary every 256 states, so a
+     budgeted sweep that completes interns exactly the same states in
+     exactly the same order as an unbudgeted one. *)
+  (try
      while not (Queue.is_empty q) do
        incr pops;
        if monitored && !pops land 255 = 0 then begin
@@ -409,47 +339,7 @@ let build_supervised ?(max_states = 100_000) ?jobs
              if Kernel.enabled c m env then fire c)
            trans)
      done
-     with Exit -> ())
-   end
-   else begin
-     let frontier = ref [ (0, m0, env0) ] in
-     while !frontier <> [] do
-       (if monitored then
-          match Pnut_exec.Supervisor.check monitor with
-          | Some r ->
-            budget_stop := Some r;
-            frontier_left := List.length !frontier;
-            frontier := []
-          | None -> ());
-       if !frontier <> [] then begin
-       let layer = Array.of_list !frontier in
-       let expanded =
-         if Array.length layer < 2 then
-           Array.map (fun (_, m, e) -> expand ?stubborn kernel m e) layer
-         else
-           Pnut_exec.Pool.init ~jobs (Array.length layer) (fun x ->
-               let _, m, e = layer.(x) in
-               expand ?stubborn kernel m e)
-       in
-       let next = ref [] in
-       Array.iteri
-         (fun x succs ->
-           let i, _, _ = layer.(x) in
-           List.iter
-             (fun (tid, k, m', env') ->
-               match intern k with
-               | None -> ()
-               | Some (j, fresh) ->
-                 edges_rev :=
-                   { e_from = i; e_transition = tid; e_to = j } :: !edges_rev;
-                 incr n_edges;
-                 if fresh then next := (j, m', env') :: !next)
-             succs)
-         expanded;
-       frontier := List.rev !next
-       end
-     done
-   end);
+   with Exit -> ());
   let n = !n_states in
   let states_arr = Array.make n { s_index = 0; s_marking = [||]; s_env = [] } in
   List.iter (fun s -> states_arr.(s.s_index) <- s) !states;

@@ -34,17 +34,16 @@ val build :
 (** Default cap: 100_000 states.  Raises [Invalid_argument] if the net
     has stochastic predicates or actions.
 
-    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) expands the boxed
-    BFS frontier on that many domains; interning stays sequential in
-    frontier order, so the resulting graph — state numbering, edge
-    order, truncation — is identical for every [jobs] value.
+    Both sweeps are serial FIFOs.  [jobs] is validated by
+    {!Pnut_exec.Pool.resolve} and otherwise ignored, so the graph —
+    state numbering, edge order, truncation — is the same for every
+    [jobs] value.
 
     [packed] (default [false]) builds into the {!Store} compact arena:
     states are bit-packed (fields sized from
     {!Pnut_core.Incidence.place_bounds} with a checked widen path) and
     edges CSR-encoded, cutting memory by an order of magnitude at the
-    10^6+-state scale.  The packed sweep is serial whatever [jobs] is,
-    so its store is the same for every [jobs] value.
+    10^6+-state scale.
 
     [por] (default [false]) applies the deadlock-preserving stubborn-set
     reduction of {!Stubborn}: at each state only the enabled members of
@@ -53,9 +52,8 @@ val build :
     on terminating nets, the same per-place bounds).  State and edge
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
-    deterministic function of the marking, so the graph is still
-    identical across [jobs] values and across the boxed and packed
-    builders' shared numbering.  Raises {!Stubborn.Unsupported} when
+    deterministic function of the marking, so the boxed and packed
+    builders still share one numbering.  Raises {!Stubborn.Unsupported} when
     the net has variables, tables, predicates or actions (pre-check
     with {!Stubborn.unsupported}). *)
 
@@ -68,9 +66,8 @@ val build_supervised :
   ?por:bool ->
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
-(** {!build} under a budget.  Wall, heap and cancellation are polled on
-    the interning cadence (every 256 dequeues serially, every layer in
-    parallel); [budget.max_states] tightens [max_states].  A tripped
+(** {!build} under a budget.  Wall, heap and cancellation are polled
+    every 256 dequeues; [budget.max_states] tightens [max_states].  A tripped
     limit — including the state cap — yields [Degraded] carrying the
     partial graph (a valid prefix: every interned state is present, only
     the unexpanded frontier is missing outgoing edges) plus a progress

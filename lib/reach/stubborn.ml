@@ -28,9 +28,9 @@
    The seed is always enabled, giving D2's key transition.  Determinism
    matters more than cleverness here: the chosen set is a function of
    the marking alone (fixed seed candidates, fixed scapegoat choice,
-   fixed iteration order), so every builder — boxed serial, boxed
-   layered, packed — computes the same reduced graph for any worker
-   count, and [fired] may memoize its answers per scratch. *)
+   fixed iteration order), so the boxed and packed builders compute the
+   same reduced graph, and [fired] may memoize its answers per
+   scratch. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -163,23 +163,21 @@ let create kernel =
 (* Mutable per-worker workspace: closures stamp membership with a round
    counter instead of clearing, so one [fired] call is O(|S| + |E|)
    beyond the enabling scan.  The memo maps a signature to the array
-   [fired] returned for it; it is allocated on the scratch's second
-   call, so a scratch used once (the layered sweep makes one per state)
-   never pays for it. *)
+   [fired] returned for it. *)
 type scratch = {
   enabled : int array;  (* enabled tids, ascending, prefix of length n *)
   stamp : int array;    (* stamp.(t) = round when t joined that round's S *)
   stack : int array;    (* closure worklist; each tid pushed once per round *)
   mutable round : int;
-  mutable warm : bool;  (* [fired] has run once *)
-  mutable memo_key : int array;  (* signature per slot, -1 = empty *)
-  mutable memo_val : int array array;
+  memo_key : int array;  (* signature per slot, -1 = empty *)
+  memo_val : int array array;
 }
 
 let scratch t =
   let n = max 1 t.nt in
   { enabled = Array.make n 0; stamp = Array.make n 0; stack = Array.make n 0;
-    round = 0; warm = false; memo_key = [||]; memo_val = [||] }
+    round = 0; memo_key = Array.make t.memo_size (-1);
+    memo_val = Array.make t.memo_size [||] }
 
 (* The disabling condition the closure commits to for a disabled
    transition: the first insufficient input place in arc order, else the
@@ -300,15 +298,8 @@ let memo_slot t s =
   if t.memo_hashed then (s * 0x2545F4914F6CDD1D) lsr (63 - memo_bits) else s
 
 let fired t sc m =
-  if t.memo_size = 0 || not sc.warm then begin
-    sc.warm <- true;
-    select t sc m
-  end
+  if t.memo_size = 0 then select t sc m
   else begin
-    if Array.length sc.memo_key = 0 then begin
-      sc.memo_key <- Array.make t.memo_size (-1);
-      sc.memo_val <- Array.make t.memo_size [||]
-    end;
     let s = signature t m in
     let slot = memo_slot t s in
     if sc.memo_key.(slot) = s then sc.memo_val.(slot)

@@ -11,9 +11,9 @@
     interleavings are {e not} preserved: CTL over the full graph, state
     or edge counts, and path-sensitive queries must use the full build.
 
-    The chosen set is a deterministic function of the marking, so every
-    builder (boxed serial, boxed layered, packed) produces the same
-    reduced graph at any [--jobs] level. *)
+    The chosen set is a deterministic function of the marking, so the
+    boxed and packed builders produce the same reduced graph at any
+    [--jobs] level. *)
 
 (** Why a net falls outside the reduction's fragment. *)
 type unsupported_feature =
@@ -48,8 +48,8 @@ val create : Pnut_core.Kernel.t -> t
     {!unsupported} is [Some _] for the kernel's net. *)
 
 type scratch
-(** Mutable per-worker workspace ([O(num_transitions)] words, plus the
-    memo once allocated).  Not thread-safe; give each domain its own. *)
+(** Mutable per-worker workspace ([O(num_transitions)] words, plus a
+    memo of at most 4096 entries).  Not thread-safe; give each domain its own. *)
 
 val scratch : t -> scratch
 
@@ -68,9 +68,8 @@ val fired : t -> scratch -> Pnut_core.Marking.t -> int array
     packed into one int.  The scratch keeps a fixed-size table (at
     most 4096 entries) from signatures to answers and returns the
     stored array on a hit, so the result is the same as an unmemoized
-    call.  The table is allocated on the scratch's second call, so a
-    scratch used for one marking pays nothing for it.  Nets whose
-    signature needs more than 62 bits skip the memo.
+    call.  Nets whose signature needs more than 62 bits skip the
+    memo.
 
     The returned array may be shared with later calls on the same
     scratch: read it, never mutate it. *)

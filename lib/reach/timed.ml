@@ -35,8 +35,9 @@
    The construction is layered onto the one graph stack: classes intern
    via {!Statekey}, pack into the {!Store} arena (marking fields plus
    the interned (env, in-flight) domain in the extra-id field), run
-   under {!Pnut_exec.Supervisor} budgets, and shard across domains with
-   the same byte-identical-for-any-jobs merge as the untimed builder.
+   under {!Pnut_exec.Supervisor} budgets, and shard across domains
+   with a deterministic merge, so the packed class graph is
+   byte-identical for any [jobs].
    {!Timed_explicit} keeps the old semantics frozen as the differential
    oracle. *)
 
@@ -414,7 +415,7 @@ let build_serial ~max_states ~monitor ~monitored kernel net =
   (* Intern one normalized vector: find or create its class, then dedup
      the vector inside it.  [None] means the class would be fresh
      beyond the cap — the edge is dropped and the graph flagged
-     incomplete, exactly like the untimed builder (edges into existing
+     incomplete, exactly like {!Graph}'s builders (edges into existing
      classes are still recorded at the cap). *)
   let intern_vec marking flight pending env =
     let frepr = flight_repr flight in
@@ -483,8 +484,7 @@ let build_serial ~max_states ~monitor ~monitored kernel net =
 
 (* -- the sharded parallel class sweep --
 
-   The same plan as the untimed {!Graph} sharded builder, lifted from
-   packed markings to residual vectors.  Each team member owns the
+   A hash-sharded sweep over residual vectors.  Each team member owns the
    classes whose {!Statekey} hash lands in its shard (hash mod team)
    and interns both classes and vectors into private tables — no locks
    on the hot path, and no packing at all during discovery (a class is
@@ -497,12 +497,13 @@ let build_serial ~max_states ~monitor ~monitored kernel net =
    directly (owner shard + local vid) or as a message index resolved
    through the consumer's reply slots.
 
-   Termination is the untimed builder's single pending counter —
-   interned-but-unexpanded vectors plus in-flight messages.  [stop]
-   (budget trip, polled by member 0 on the serial cadence) drains and
-   merges the expanded prefix; [abort] (class cap, busy pool, a member
-   raising) discards everything and the caller rebuilds serially,
-   keeping the exact serial truncation semantics.
+   Termination is a single shared pending counter — interned but
+   unexpanded vectors plus in-flight messages; the sweep ends when it
+   drops to zero.  [stop] (budget trip, polled by member 0 on the
+   serial cadence) drains and merges the expanded prefix; [abort]
+   (class cap, busy pool, a member raising) discards everything and
+   the caller rebuilds serially, keeping the exact serial truncation
+   semantics.
 
    The merge replays the serial vector FIFO over the recorded per-vector
    edge lists: vectors are visited in exactly the order the serial
@@ -999,40 +1000,15 @@ let build_supervised ?(max_states = 50_000) ?jobs ?(packed = false)
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let kernel = Kernel.of_net net in
   let finish ~classes ~repr ~n_vectors ~truncated ~budget_stop ~frontier_left =
-    let n = Array.length classes in
-    let n_edges = count_edges classes in
     let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
     let complete = (not truncated) && budget_stop = None in
-    let g =
-      { net; repr; complete; n_edges; n_vectors; sup_off; sup; iv_lo; iv_hi }
-    in
-    match budget_stop with
-    | Some reason ->
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n
-              ~frontier:frontier_left;
-        }
-    | None ->
-      if truncated then
-        Pnut_exec.Supervisor.Degraded
-          {
-            reason = Pnut_exec.Supervisor.States n;
-            partial = g;
-            progress =
-              Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-          }
-      else Pnut_exec.Supervisor.Complete g
+    Pnut_exec.Supervisor.verdict monitor ~stop:budget_stop ~capped:truncated
+      ~visited:(Array.length classes) ~frontier:frontier_left
+      { net; repr; complete; n_edges = count_edges classes; n_vectors;
+        sup_off; sup; iv_lo; iv_hi }
   in
   if packed then begin
     (* Sharded first when more than one domain is available; any abort

@@ -250,11 +250,7 @@ let build_supervised ?(max_states = 50_000) ?horizon
   check_deterministic net;
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let budget_stop = ref None in
   let frontier_left = ref 0 in
   let kernel = Kernel.of_net net in
@@ -337,30 +333,11 @@ let build_supervised ?(max_states = 50_000) ?horizon
   List.iter (fun s -> states_arr.(s.ts_index) <- s) !states;
   let succ = Array.make n [] in
   Hashtbl.iter (fun i l -> succ.(i) <- List.rev l) succ_acc;
-  let g =
+  Pnut_exec.Supervisor.verdict monitor ~stop:!budget_stop ~capped:!truncated
+    ~visited:n ~frontier:!frontier_left
     { net; states = states_arr; succ;
       complete = (not !truncated) && !budget_stop = None;
       n_edges = !n_edges }
-  in
-  match !budget_stop with
-  | Some reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = g;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:n
-            ~frontier:!frontier_left;
-      }
-  | None ->
-    if !truncated then
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason = Pnut_exec.Supervisor.States n;
-          partial = g;
-          progress = Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-        }
-    else Pnut_exec.Supervisor.Complete g
 
 let build ?max_states ?horizon net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states ?horizon net)

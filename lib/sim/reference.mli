@@ -42,7 +42,7 @@ val fireable_transitions : t -> Pnut_core.Net.transition_id list
 val fire_transition : t -> Pnut_core.Net.transition_id -> unit
 
 val run :
-  ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
+  ?until:float -> ?max_events:int ->
   ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
   t -> Simulator.outcome
 

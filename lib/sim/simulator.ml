@@ -44,7 +44,6 @@ type error =
       clock : float;
     }
   | Action_error of { transition : string; clock : float; message : string }
-  | Watchdog of { wall_seconds : float; clock : float; started : int }
   | Fault_error of string
   | Restore_error of string
 
@@ -62,11 +61,6 @@ let error_message = function
       place tokens capacity transition clock
   | Action_error { transition; clock; message } ->
     Printf.sprintf "action of %s failed at t=%g: %s" transition clock message
-  | Watchdog { wall_seconds; clock; started } ->
-    Printf.sprintf
-      "watchdog: simulation exceeded %g s of wall clock at t=%g (%d events \
-       started)"
-      wall_seconds clock started
   | Fault_error msg -> Printf.sprintf "fault specification error: %s" msg
   | Restore_error msg -> Printf.sprintf "checkpoint restore error: %s" msg
 
@@ -554,7 +548,7 @@ type outcome = {
 
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
-let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
+let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None
      && (match budget with
          | Some b -> b.Pnut_exec.Budget.max_events = None
@@ -580,25 +574,13 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       st.sink.Trace.on_finish t
     end
   end in
-  (* The watchdog costs one [Unix.gettimeofday] every 256 engine steps —
-     cheap enough to leave armed on production runs.  Budget checks ride
-     the same slot, so a budgeted run pays nothing extra per event. *)
-  let wall_start =
-    match wall_limit_s with Some _ -> Unix.gettimeofday () | None -> 0.0
-  in
+  (* Budget checks ride a 256-step slot: an unbudgeted run pays one
+     branch per step, a budgeted one a monitor poll every 256 steps. *)
   let steps = ref 0 in
-  let check_watchdog () =
-    incr steps;
-    if !steps land 255 = 0 then begin
-      (match wall_limit_s with
-      | Some limit_s ->
-        if Unix.gettimeofday () -. wall_start > limit_s then
-          sim_error
-            (Watchdog
-               { wall_seconds = limit_s; clock = st.clock;
-                 started = st.started })
-      | None -> ());
-      if monitored then
+  let check_budget () =
+    if monitored then begin
+      incr steps;
+      if !steps land 255 = 0 then
         match Pnut_exec.Supervisor.check monitor with
         | Some reason -> raise_notrace (Budget_trip reason)
         | None -> ()
@@ -610,7 +592,7 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       started = st.started; finished = st.finished }
   in
   let rec loop () =
-    check_watchdog ();
+    check_budget ();
     if st.started >= eff_limit then begin
       if st.started >= limit then begin
         emit_finish st.clock;
@@ -667,17 +649,13 @@ let run_supervised ?until ?max_events ?budget ?finish (st : t) =
       (Option.value budget ~default:Pnut_exec.Budget.none)
   in
   let outcome = run ?until ?max_events ?budget ?finish st in
-  match outcome.stop with
-  | Budget_exhausted reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = outcome;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:outcome.started
-            ~frontier:0;
-      }
-  | Horizon | Dead | Event_limit -> Pnut_exec.Supervisor.Complete outcome
+  let stop =
+    match outcome.stop with
+    | Budget_exhausted reason -> Some reason
+    | Horizon | Dead | Event_limit -> None
+  in
+  Pnut_exec.Supervisor.verdict monitor ~stop ~capped:false
+    ~visited:outcome.started ~frontier:0 outcome
 
 let simulate ?seed ?prng ?max_instant_firings ?until ?max_events ?sink net =
   let st = create ?seed ?prng ?sink ?max_instant_firings net in

@@ -51,8 +51,6 @@ type error =
     }
   | Action_error of { transition : string; clock : float; message : string }
       (** a transition action failed (unbound table, index out of bounds) *)
-  | Watchdog of { wall_seconds : float; clock : float; started : int }
-      (** the optional wall-clock budget of {!run} was exhausted *)
   | Fault_error of string
       (** a fault specification refers to unknown names or is malformed *)
   | Restore_error of string
@@ -177,7 +175,7 @@ type outcome = {
 }
 
 val run :
-  ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
+  ?until:float -> ?max_events:int ->
   ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
   t -> outcome
 (** Runs until the horizon, the event limit, or quiescence; emits
@@ -187,16 +185,11 @@ val run :
     given.
 
     [budget] supervises the run: wall, heap and cancellation are polled
-    on the 256-step watchdog slot, the event cap per step.  A tripped
-    limit does not raise — the run stops at the current clock, emits
-    [on_finish] (so the partial trace is well-formed) and returns
+    every 256 steps, the event cap every step.  A tripped limit does
+    not raise — the run stops at the current clock, emits [on_finish]
+    (so the partial trace is well-formed) and returns
     [stop = Budget_exhausted _].  A budgeted run that completes is
     byte-identical to an unbudgeted one.
-
-    [wall_limit_s] is the historical watchdog, kept as a deprecated
-    alias for [budget] with only a wall limit — except that it
-    {e raises} [Sim_error (Watchdog _)] instead of degrading.  New code
-    should pass a budget.
 
     [finish] (default [true]) controls whether [on_finish] is emitted
     when this call stops at its horizon; pass [false] to pause a run

@@ -86,7 +86,7 @@ let replicate_supervised ?(seed = 1) ?confidence ?jobs
   let streams = Array.init runs (fun _ -> Pnut_core.Prng.split master) in
   (* The sweep-level wall budget is an absolute deadline: every run
      starts with the remaining wall time, so in-flight replications on
-     all worker domains degrade at their next watchdog slot once the
+     all worker domains degrade at their next budget slot once the
      deadline passes. *)
   let run_budget () =
     if Budget.is_none budget then None
@@ -129,17 +129,8 @@ let replicate_supervised ?(seed = 1) ?confidence ?jobs
     Array.to_list results
     |> List.find_map (function Error r -> Some r | Ok _ -> None)
   in
-  match first_trip with
-  | None -> Supervisor.Complete partial
-  | Some reason ->
-    Supervisor.Degraded
-      {
-        reason;
-        partial;
-        progress =
-          Supervisor.snapshot monitor ~visited:completed
-            ~frontier:(runs - completed);
-      }
+  Supervisor.verdict monitor ~stop:first_trip ~capped:false ~visited:completed
+    ~frontier:(runs - completed) partial
 
 let pp ppf e =
   Format.fprintf ppf "%.4f ± %.4f (%.0f%% CI, %d runs)" e.mean e.half_width

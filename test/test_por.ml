@@ -290,7 +290,7 @@ let prop_memo_signature =
         let m = marking () in
         let warm = Stubborn.scratch sb in
         let m' = twin m in
-        (* the twin twice: the memo starts on a scratch's second call *)
+        (* the twin twice: the second call is a memo hit *)
         List.iter
           (fun q ->
             let expected = fired (Stubborn.scratch sb) q in

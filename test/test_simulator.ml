@@ -429,7 +429,7 @@ let test_tokens_accessor () =
   Alcotest.check_raises "unknown place" Not_found (fun () ->
       ignore (Sim.tokens st "nope"))
 
-(* -- robustness: deadlock diagnosis, watchdog, checkpoint/restore -- *)
+(* -- robustness: deadlock diagnosis, checkpoint/restore -- *)
 
 let test_deadlock_diagnosis () =
   (* one transition starved, one self-inhibited, one with a false
@@ -468,25 +468,6 @@ let test_deadlock_diagnosis () =
   let rendered = Format.asprintf "%a" Sim.pp_diagnosis d in
   Testutil.check_contains "names the starved place" rendered "fuel";
   Testutil.check_contains "names the inhibitor" rendered "full"
-
-let test_watchdog_fires () =
-  (* a 1 Hz self-loop never dies; with a zero wall budget the watchdog
-     must abort the unbounded run instead of hanging *)
-  let b = B.create "spin" in
-  let p = B.add_place b "p" ~initial:1 in
-  let _ =
-    B.add_transition b "beat" ~inputs:[ (p, 1) ] ~outputs:[ (p, 1) ]
-      ~firing:(Net.Const 1.0)
-  in
-  let net = B.build b in
-  let st = Sim.create net in
-  match Sim.run ~until:infinity ~wall_limit_s:0.0 st with
-  | _ -> Alcotest.fail "expected watchdog abort"
-  | exception Sim.Sim_error (Sim.Watchdog { wall_seconds; _ } as e) ->
-    Alcotest.(check (float 0.0)) "budget" 0.0 wall_seconds;
-    Testutil.check_contains "message" (Sim.error_message e) "watchdog"
-  | exception Sim.Sim_error e ->
-    Alcotest.failf "wrong error: %s" (Sim.error_message e)
 
 let suffix_of trace ~after =
   Array.to_list (Trace.deltas trace)
@@ -587,7 +568,6 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "deadlock diagnosis" `Quick test_deadlock_diagnosis;
-          Alcotest.test_case "watchdog" `Quick test_watchdog_fires;
           Alcotest.test_case "checkpoint restore" `Quick
             test_checkpoint_restore_identical;
           Alcotest.test_case "restore wrong net" `Quick

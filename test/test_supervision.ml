@@ -122,7 +122,27 @@ let test_outcome_helpers () =
   Alcotest.(check bool) "degraded flags" true
     (Supervisor.degraded d && not (Supervisor.degraded c));
   Alcotest.(check int) "map" 42 (Supervisor.value (Supervisor.map succ c));
-  Alcotest.(check int) "map degraded" 2 (Supervisor.value (Supervisor.map succ d))
+  Alcotest.(check int) "map degraded" 2 (Supervisor.value (Supervisor.map succ d));
+  (* verdict: a budget trip outranks the cap, a cap alone is States *)
+  let verdict stop capped =
+    Supervisor.verdict m ~stop ~capped ~visited:7 ~frontier:3 ()
+  in
+  (match verdict None false with
+  | Supervisor.Complete () -> ()
+  | Supervisor.Degraded _ -> Alcotest.fail "no stop, no cap: complete");
+  (match verdict (Some Supervisor.Cancelled) true with
+  | Supervisor.Degraded { reason = Supervisor.Cancelled; progress; _ } ->
+    Alcotest.(check int) "trip frontier" 3 progress.Supervisor.frontier
+  | _ -> Alcotest.fail "a trip outranks the cap");
+  (match verdict None true with
+  | Supervisor.Degraded { reason = Supervisor.States 7; progress; _ } ->
+    Alcotest.(check int) "cap visited" 7 progress.Supervisor.visited
+  | _ -> Alcotest.fail "a cap is States visited");
+  Alcotest.(check int) "state_cap without a budget cap" 50
+    (Supervisor.state_cap m 50);
+  let capped = Supervisor.start (Budget.make ~max_states:10 ()) in
+  Alcotest.(check int) "budget cap tightens" 10 (Supervisor.state_cap capped 50);
+  Alcotest.(check int) "default tighter" 5 (Supervisor.state_cap capped 5)
 
 (* -- Pool supervision -- *)
 
@@ -171,7 +191,7 @@ let test_sim_budget () =
     Alcotest.(check bool) "snapshot counts events" true
       (progress.Supervisor.visited = partial.Sim.started)
   | Supervisor.Complete _ -> Alcotest.fail "cannot complete until t=1e12");
-  (* pre-cancelled token degrades at the first watchdog slot *)
+  (* pre-cancelled token degrades at the first budget slot *)
   let tok = Budget.token () in
   Budget.cancel tok;
   let st = Sim.create ~seed:7 net in
@@ -210,11 +230,10 @@ let test_reach_wall_budget () =
 
 let test_reach_partial_is_prefix () =
   let net = pump_net () in
-  (* a state-capped build degrades too, carrying exactly the prefix *)
+  (* a state-capped build carries exactly the prefix of a bigger one *)
   let small =
-    match Graph.build_supervised ~budget:(Budget.make ~max_states:40 ()) net with
-    | Supervisor.Degraded { reason = Supervisor.States 40; partial; _ } -> partial
-    | _ -> Alcotest.fail "expected Degraded (States 40)"
+    Supervisor.value
+      (Graph.build_supervised ~budget:(Budget.make ~max_states:40 ()) net)
   in
   let big = Graph.build ~max_states:200 net in
   Alcotest.(check int) "prefix size" 40 (Graph.num_states small);
@@ -257,6 +276,76 @@ let test_timed_wall_budget () =
       (Pnut_reach.Timed.num_states partial > 2)
   | Supervisor.Complete _ -> Alcotest.fail "the pump never completes"
 
+(* -- State caps, every builder --
+
+   A state cap is a budget trip like any other: [Degraded (States n)]
+   with [n] states interned, a partial result flagged incomplete, and
+   the frontier each builder reports.  The breadth-first builders
+   report 0 at the cap; the Karp-Miller DFS reports its real stack.
+   Rows alternate between capping through the budget and through the
+   [max_states] argument (under a generous budget), so both sides of
+   the tightening are exercised. *)
+
+let capped () = Budget.make ~max_states:40 ()
+
+let state_cap_rows =
+  let graph g = (Graph.complete g, Graph.num_states g) in
+  let timed g = (Pnut_reach.Timed.complete g, Pnut_reach.Timed.num_states g) in
+  [
+    ( "graph boxed", 40, 0,
+      fun () ->
+        Supervisor.map graph
+          (Graph.build_supervised ~budget:(capped ()) (pump_net ())) );
+    ( "graph packed", 40, 0,
+      fun () ->
+        Supervisor.map graph
+          (Graph.build_supervised ~max_states:40 ~budget:(generous ())
+             ~packed:true (pump_net ())) );
+    ( "timed boxed", 40, 0,
+      fun () ->
+        Supervisor.map timed
+          (Pnut_reach.Timed.build_supervised ~budget:(capped ()) (pump_net ()))
+    );
+    ( "timed packed", 40, 0,
+      fun () ->
+        Supervisor.map timed
+          (Pnut_reach.Timed.build_supervised ~max_states:40 ~packed:true
+             ~budget:(generous ()) (pump_net ())) );
+    ( "timed explicit", 40, 0,
+      fun () ->
+        Supervisor.map
+          (fun g ->
+            ( Pnut_reach.Timed_explicit.complete g,
+              Pnut_reach.Timed_explicit.num_states g ))
+          (Pnut_reach.Timed_explicit.build_supervised ~budget:(capped ())
+             (pump_net ())) );
+    ( "coverability", 5, 4,
+      fun () ->
+        Supervisor.map
+          (fun g -> (Cov.complete g, Cov.num_nodes g))
+          (Cov.build_supervised ~budget:(Budget.make ~max_states:5 ())
+             (many_pumps 4)) );
+  ]
+
+let test_state_caps () =
+  List.iter
+    (fun (name, cap, frontier, build) ->
+      match build () with
+      | Supervisor.Degraded
+          { reason = Supervisor.States n; partial = complete, states; progress }
+        ->
+        Alcotest.(check int) (name ^ ": reason payload") cap n;
+        Alcotest.(check int) (name ^ ": partial size") cap states;
+        Alcotest.(check int) (name ^ ": visited") cap progress.Supervisor.visited;
+        Alcotest.(check int) (name ^ ": frontier") frontier
+          progress.Supervisor.frontier;
+        Alcotest.(check bool) (name ^ ": incomplete") false complete
+      | Supervisor.Degraded { reason; _ } ->
+        Alcotest.failf "%s: expected States, got %s" name
+          (Supervisor.reason_message reason)
+      | Supervisor.Complete _ -> Alcotest.failf "%s: expected a state cap" name)
+    state_cap_rows
+
 (* -- Coverability -- *)
 
 let test_coverability_budget () =
@@ -270,14 +359,6 @@ let test_coverability_budget () =
     Alcotest.(check bool) "partial tree" true (Cov.num_nodes partial > 1);
     Alcotest.(check bool) "flagged incomplete" true (not (Cov.complete partial))
   | Supervisor.Complete _ -> Alcotest.fail "2^24 nodes in 50 ms?");
-  (* state-cap trip via the budget *)
-  (match Cov.build_supervised ~budget:(Budget.make ~max_states:5 ())
-           (many_pumps 4)
-   with
-  | Supervisor.Degraded { reason = Supervisor.States _; partial; progress } ->
-    Alcotest.(check int) "capped size" 5 (Cov.num_nodes partial);
-    Alcotest.(check bool) "frontier left" true (progress.Supervisor.frontier > 0)
-  | _ -> Alcotest.fail "expected Degraded (States _)");
   (* a completing budgeted build matches the plain one *)
   let net = many_pumps 3 in
   match Cov.build_supervised ~budget:(generous ()) net with
@@ -397,6 +478,7 @@ let () =
           Alcotest.test_case "reach budget identical" `Quick
             test_reach_budget_identical;
           Alcotest.test_case "timed wall budget" `Quick test_timed_wall_budget;
+          Alcotest.test_case "state caps" `Quick test_state_caps;
           Alcotest.test_case "coverability budget" `Quick
             test_coverability_budget;
           Alcotest.test_case "gspn budget" `Quick test_gspn_budget;
