@@ -718,10 +718,9 @@ let reach_cmd =
                    an order of magnitude on large graphs; the graph built \
                    is identical either way.  Covers $(b,--timed) too: \
                    state classes pack as marking fields plus an interned \
-                   (environment, firing-domain) id.  $(b,--jobs) shards \
-                   only the packed timed class graph; the packed untimed \
-                   build is serial, with the same graph for every worker \
-                   count.")
+                   (environment, firing-domain) id.  Every build is \
+                   serial: $(b,--jobs) leaves the graph the same for \
+                   every worker count.")
   in
   let por =
     Arg.(value

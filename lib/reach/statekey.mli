@@ -15,9 +15,13 @@ type t = private {
   k_bindings : (string * Pnut_core.Value.t) list;
   k_tables : (string * Pnut_core.Value.t array) list;
   k_clocks : string;
-      (** canonical rendering of timer residuals ([""] for untimed
-          graphs); kept as text so the 9-significant-digit rounding that
-          merges nearly equal clock valuations is preserved *)
+      (** timer component ([""] for untimed graphs).  For {!Timed}
+          state classes it is the sorted in-flight tid multiset.  For
+          {!Timed_explicit} states and the residual-vector searches of
+          {!Timed.min_cycle_time} and {!Timed.steady_cycle} it is the
+          canonical rendering of the timer residuals, kept as text so
+          the 9-significant-digit rounding that merges nearly equal
+          clock valuations is preserved *)
 }
 
 val make : ?clocks:string -> Pnut_core.Marking.t -> Pnut_core.Env.t -> t

@@ -18,12 +18,11 @@
     with a dedicated search over the vector space, and time-bounded
     ([horizon]) exploration remains on the oracle only.
 
-    The construction is unified onto the packed/supervised/parallel
-    graph stack: with [packed], classes encode into the {!Store} arena
+    The construction is unified onto the packed/supervised graph
+    stack: with [packed], classes encode into the {!Store} arena
     (marking fields plus the interned (env, in-flight domain) in the
-    extra-id field) and the class sweep shards across domains with a
-    byte-identical-for-any-[jobs] merge.  The boxed representation is
-    serial-only — [jobs] takes effect with [packed].
+    extra-id field).  The class sweep is serial in both
+    representations, so [jobs] changes nothing in the graph.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -68,11 +67,10 @@ val build :
     defaults to 50_000.  Raises [Invalid_argument] on stochastic
     delays, predicates or actions.
 
-    With [packed] the graph lives in a bit-packed {!Store} arena and
-    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) shards the class
-    sweep across that many domains; the packed arrays are byte-identical
-    for every [jobs] value.  Without [packed] the build is serial and
-    boxed. *)
+    With [packed] the graph lives in a bit-packed {!Store} arena;
+    without it the graph is boxed.  [jobs] is validated by
+    {!Pnut_exec.Pool.resolve} but unused: the build is serial, so the
+    graph is the same for every [jobs] value. *)
 
 val build_supervised :
   ?max_states:int ->

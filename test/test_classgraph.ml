@@ -151,6 +151,8 @@ let prop_packed_boxed_agree =
       let packed = Timed.build ~max_states:3_000 ~packed:true net in
       digest boxed = digest packed)
 
+(* The class sweep is serial at every [jobs]; this pins that [jobs]
+   leaves the packed store and the interval domains unchanged. *)
 let prop_jobs_byte_identical =
   QCheck2.Test.make
     ~name:"packed class arrays are byte-identical across jobs" ~count:30

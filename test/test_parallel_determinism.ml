@@ -113,9 +113,9 @@ let timed_digest g =
   (states, edges)
 
 let test_timed_parity () =
-  (* the packed arenas — not just the decoded views — must be
-     byte-identical for every team size, and the boxed serial build must
-     decode to the same graph *)
+  (* the class sweep is serial at every [jobs]: the packed arenas — not
+     just the decoded views — must be byte-identical for every [jobs],
+     and the boxed build must decode to the same graph *)
   let serial = Timed.build ~jobs:1 ~packed:true (timed_net ()) in
   Alcotest.(check bool) "timed class graph non-trivial" true
     (Timed.num_states serial > 4);

@@ -110,78 +110,42 @@ let test_oversubscription_latch () =
           (List.length !warnings))
   end
 
-let test_team_persistent_domains () =
-  if Pool.team_size ~jobs:3 () < 3 then
-    Alcotest.(check bool) "skipped: could not spawn a team of 3" true true
-  else begin
-    let ids1 = Array.make 3 (-1) and ids2 = Array.make 3 (-1) in
-    let ran1 = Pool.run_team 3 (fun m -> ids1.(m) <- (Domain.self () :> int)) in
-    let ran2 = Pool.run_team 3 (fun m -> ids2.(m) <- (Domain.self () :> int)) in
-    Alcotest.(check bool) "both teams ran" true (ran1 && ran2);
-    Alcotest.(check int) "three distinct domains" 3
-      (List.length (List.sort_uniq compare (Array.to_list ids1)));
-    (* the pool is persistent: the second team runs on the same spawned
-       domains as the first (member 0 is the caller both times) *)
-    Alcotest.(check (array int)) "same domains reused across calls" ids1 ids2
-  end
-
-let test_team_co_scheduled () =
-  (* members busy-wait on each other: this only terminates if all four
-     run on their own domain simultaneously *)
-  if Pool.team_size ~jobs:4 () < 4 then
-    Alcotest.(check bool) "skipped: could not spawn a team of 4" true true
-  else begin
-    let flags = Array.init 4 (fun _ -> Atomic.make false) in
-    let ok =
-      Pool.run_team 4 (fun m ->
-          Atomic.set flags.(m) true;
-          Array.iter
-            (fun f ->
-              let spins = ref 0 in
-              while not (Atomic.get f) do
-                incr spins;
-                Pool.relax !spins
-              done)
-            flags)
-    in
-    Alcotest.(check bool) "full barrier completed" true ok
-  end
-
-let test_team_refused_while_pool_busy () =
-  (* a team request from inside a running batch must refuse (returning
-     false) rather than corrupt the batch in flight *)
-  if Pool.team_size ~jobs:2 () < 2 then
-    Alcotest.(check bool) "skipped: could not spawn a worker" true true
-  else begin
-    let results =
-      Pool.init ~jobs:2 2 (fun _ -> Pool.run_team 2 (fun _ -> ()))
-    in
-    Alcotest.(check (array bool))
-      "nested run_team refused on both tasks" [| false; false |] results
-  end
+(* The domain that ran task 1 of a two-task batch while task 0 waited
+   for it to start, or [None] when no worker joined (task 0 gives up
+   after 5 s and the caller runs task 1 itself). *)
+let worker_domain () =
+  let started = Atomic.make false in
+  let ids =
+    Pool.init ~jobs:2 2 (fun i ->
+        if i = 1 then Atomic.set started true
+        else begin
+          let t0 = Unix.gettimeofday () in
+          while
+            (not (Atomic.get started)) && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Domain.cpu_relax ()
+          done
+        end;
+        (Domain.self () :> int))
+  in
+  if ids.(0) <> ids.(1) then Some ids.(1) else None
 
 let test_quiesce_respawns () =
-  if Pool.team_size ~jobs:2 () < 2 then
-    Alcotest.(check bool) "skipped: could not spawn a worker" true true
-  else begin
-    let id1 = ref (-1) and id2 = ref (-1) in
-    let ran1 =
-      Pool.run_team 2 (fun m -> if m = 1 then id1 := (Domain.self () :> int))
-    in
+  match worker_domain () with
+  | None -> Alcotest.(check bool) "skipped: could not spawn a worker" true true
+  | Some id1 ->
     Pool.quiesce ();
-    (* the next team call respawns the pool transparently *)
-    let ran2 =
-      Pool.run_team 2 (fun m -> if m = 1 then id2 := (Domain.self () :> int))
-    in
-    Alcotest.(check bool) "both teams ran" true (ran1 && ran2);
-    (* domain ids are never reused within a process, so a retired
-       worker's replacement is observably a fresh domain *)
-    Alcotest.(check bool) "fresh worker domain after quiesce" true
-      (!id1 >= 0 && !id2 >= 0 && !id1 <> !id2);
+    (* the next parallel call respawns the pool transparently; domain ids
+       are never reused within a process, so a retired worker's
+       replacement is observably a fresh domain *)
+    (match worker_domain () with
+    | None -> Alcotest.fail "no worker joined after quiesce"
+    | Some id2 ->
+      Alcotest.(check bool) "fresh worker domain after quiesce" true
+        (id1 <> id2));
     Pool.quiesce ();
     (* quiescing an already-empty pool is a no-op *)
     Pool.quiesce ()
-  end
 
 let () =
   Alcotest.run "pool"
@@ -201,15 +165,6 @@ let () =
             test_env_jobs_clamped;
           Alcotest.test_case "oversubscription latch per count" `Quick
             test_oversubscription_latch;
-        ] );
-      ( "team",
-        [
-          Alcotest.test_case "persistent domains reused" `Quick
-            test_team_persistent_domains;
-          Alcotest.test_case "members co-scheduled" `Quick
-            test_team_co_scheduled;
-          Alcotest.test_case "refused while pool busy" `Quick
-            test_team_refused_while_pool_busy;
           Alcotest.test_case "quiesce retires and respawns" `Quick
             test_quiesce_respawns;
         ] );

@@ -199,6 +199,42 @@ let test_packed_build () =
   in
   Alcotest.(check bool) "same decoded graph" true (digest boxed = digest packed)
 
+(* Vectors of a class dedup on a key that must agree with the "%.9g"
+   rendering of every residual.  This net mixes residuals that render
+   as integers (including 5.0000000001, which renders as "5") with ones
+   that do not (0.1 + 0.2 sums, 1e-05); the pipeline with a fractional
+   memory time drifts off the integers the same way.  The counts were
+   measured with a key built from the full rendering. *)
+let frac_net =
+  {|net frac
+place a init 2
+place b
+place c init 1
+place d
+transition t1 in a out b firing 0.1 enabling 0.2
+transition t2 in b out a firing 0.3
+transition t3 in c out d enabling 0.7 firing 0.1
+transition t4 in d out c firing 0.2 enabling 5.0000000001
+transition t5 in a, c out b, d firing 1e-5 enabling 0.30000000000000004
+|}
+
+let test_vector_dedup_counts () =
+  let check name net (classes, edges, vectors) =
+    List.iter
+      (fun packed ->
+        let g = Timed.build ~packed net in
+        let tag = Printf.sprintf "%s, packed=%b: " name packed in
+        Alcotest.(check int) (tag ^ "classes") classes (Timed.num_states g);
+        Alcotest.(check int) (tag ^ "edges") edges (Timed.num_edges g);
+        Alcotest.(check int) (tag ^ "vectors") vectors (Timed.num_vectors g))
+      [ false; true ]
+  in
+  check "frac" (Pnut_lang.Parser.parse_net frac_net) (20, 26, 100);
+  check "memory_cycles 2.3"
+    (Pnut_pipeline.Model.full
+       { Pnut_pipeline.Config.default with Pnut_pipeline.Config.memory_cycles = 2.3 })
+    (693, 1149, 7052)
+
 (* -- frozen explicit-expansion oracle -- *)
 
 let test_explicit_four_states () =
@@ -362,6 +398,8 @@ let () =
           Alcotest.test_case "residual enabling" `Quick
             test_residual_enabling_preserved;
           Alcotest.test_case "packed build" `Quick test_packed_build;
+          Alcotest.test_case "vector dedup counts" `Quick
+            test_vector_dedup_counts;
         ] );
       ( "durations",
         [
