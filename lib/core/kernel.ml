@@ -259,19 +259,22 @@ let compile_one ?prng env c =
 
 let compile ?prng env k = Array.map (compile_one ?prng env) k.k_trans
 
+(* Plain loops for the same reason as [token_enabled]: the simulator
+   calls this on every refresh of every touched transition. *)
 let compiled_token_enabled c m =
   let n = Array.length c.c_in_place in
-  let rec inputs i =
-    i >= n
-    || (Marking.get m c.c_in_place.(i) >= c.c_in_weight.(i) && inputs (i + 1))
-  in
+  let i = ref 0 in
+  while !i < n && Marking.get m c.c_in_place.(!i) >= c.c_in_weight.(!i) do
+    incr i
+  done;
+  !i >= n
+  &&
   let ni = Array.length c.c_inh_place in
-  let rec inhibitors i =
-    i >= ni
-    || (Marking.get m c.c_inh_place.(i) < c.c_inh_weight.(i)
-        && inhibitors (i + 1))
-  in
-  inputs 0 && inhibitors 0
+  let j = ref 0 in
+  while !j < ni && Marking.get m c.c_inh_place.(!j) < c.c_inh_weight.(!j) do
+    incr j
+  done;
+  !j >= ni
 
 let compiled_enabled c m =
   compiled_token_enabled c m

@@ -2,28 +2,31 @@
    generators", OOPSLA 2014.  State advances by the golden-gamma constant;
    outputs are a finalizer of the state. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable state : int64]
+   field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let state g = g.state
+let create seed = of_state (Int64.of_int seed)
 
-let of_state s = { state = s }
+let state g = Bytes.get_int64_ne g 0
 
-let copy g = { state = g.state }
+let copy = Bytes.copy
 
-let bits64 g =
-  let z = Int64.add g.state golden_gamma in
-  g.state <- z;
+let[@inline] bits64 g =
+  let z = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g =
-  let s = bits64 g in
-  { state = s }
+let split g = of_state (bits64 g)
 
 (* Non-negative 62-bit value, cheap and unbiased enough for modulo use
    after rejection sampling below. *)

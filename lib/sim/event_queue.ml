@@ -64,21 +64,27 @@ let push q time payload =
 
 let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
+let top_time q = if q.size = 0 then infinity else q.heap.(0).time
+
+let pop_top q =
+  if q.size = 0 then invalid_arg "Event_queue.pop_top: empty queue";
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    (* blank the vacated slot: a long-lived queue must not pin the
+       moved entry (or, on the last pop, the popped payload) *)
+    q.heap.(q.size) <- blank ();
+    sift_down q 0
+  end
+  else q.heap.(0) <- blank ();
+  top.payload
+
 let pop q =
   if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      (* blank the vacated slot: a long-lived queue must not pin the
-         moved entry (or, on the last pop, the popped payload) *)
-      q.heap.(q.size) <- blank ();
-      sift_down q 0
-    end
-    else q.heap.(0) <- blank ();
-    Some (top.time, top.payload)
-  end
+  else
+    let time = q.heap.(0).time in
+    Some (time, pop_top q)
 
 let to_sorted_list q =
   let entries = Array.sub q.heap 0 q.size in

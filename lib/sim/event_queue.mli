@@ -20,6 +20,18 @@ val peek_time : 'a t -> float option
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the earliest event (FIFO among equal times). *)
 
+(** {2 Allocation-free access}
+
+    The simulator's per-event loop reads the head through these: no
+    option or tuple is built per event. *)
+
+val top_time : 'a t -> float
+(** Earliest scheduled time, or [infinity] when the queue is empty. *)
+
+val pop_top : 'a t -> 'a
+(** Removes the earliest event (as {!pop}) and returns its payload.
+    Raises [Invalid_argument] on an empty queue. *)
+
 val to_sorted_list : 'a t -> (float * 'a) list
 (** All pending events in pop order, without disturbing the queue.
     Re-pushing them in this order into a fresh queue preserves the FIFO

@@ -214,14 +214,21 @@ let touch st tid =
    touched place or carrying a predicate can change enabledness.
    Processed in ascending id order — the same order as a full scan — so
    the random enabling-delay draws are identical to a full refresh and
-   traces are bit-for-bit reproducible either way. *)
+   traces are bit-for-bit reproducible either way.  Plain loops: a
+   closure over [st] here would be allocated on every event. *)
 let refresh_after st ~places ~env_changed =
   st.generation <- st.generation + 1;
   st.touched_n <- 0;
-  Array.iter
-    (fun p -> Array.iter (fun tid -> touch st tid) st.readers.(p))
-    places;
-  if env_changed then Array.iter (fun tid -> touch st tid) st.predicated;
+  for i = 0 to Array.length places - 1 do
+    let rs = st.readers.(places.(i)) in
+    for k = 0 to Array.length rs - 1 do
+      touch st rs.(k)
+    done
+  done;
+  if env_changed then
+    for k = 0 to Array.length st.predicated - 1 do
+      touch st st.predicated.(k)
+    done;
   let a = st.touched in
   let n = st.touched_n in
   (* insertion sort: the touched set is small and nearly sorted *)
@@ -322,13 +329,17 @@ let select_weighted st m =
     total := !total +. st.ctrans.(st.sel.(k)).c_frequency
   done;
   let target = Prng.float st.prng !total in
-  let rec pick acc k =
-    if k >= m - 1 then st.sel.(m - 1)
-    else
-      let acc = acc +. st.ctrans.(st.sel.(k)).c_frequency in
-      if target < acc then st.sel.(k) else pick acc (k + 1)
-  in
-  pick 0.0 0
+  let acc = ref 0.0 in
+  let k = ref 0 in
+  let chosen = ref (-1) in
+  while !chosen < 0 do
+    if !k >= m - 1 then chosen := st.sel.(m - 1)
+    else begin
+      acc := !acc +. st.ctrans.(st.sel.(!k)).c_frequency;
+      if target < !acc then chosen := st.sel.(!k) else incr k
+    end
+  done;
+  !chosen
 
 (* Run a compiled action, collecting every assignment for the trace
    delta.  Failures surface as structured [Action_error]s naming the
@@ -439,15 +450,18 @@ type step_result =
 (* Earliest instant at which something can happen after the current one:
    the next scheduled fire-end, the earliest pending enabling deadline
    (the heap holds exactly the strictly-future ones), or a fault-window
-   boundary announced by the hooks.  O(1). *)
+   boundary announced by the hooks.  O(1).  Returns [neg_infinity] when
+   there is none: every real candidate is at or after the clock, which
+   never goes below 0, so the sentinel cannot collide with one, and no
+   option is built per event. *)
 let next_instant st =
   let best = ref infinity in
   let found = ref false in
-  (match Event_queue.peek_time st.queue with
-  | Some t ->
+  if not (Event_queue.is_empty st.queue) then begin
     found := true;
+    let t = Event_queue.top_time st.queue in
     if t < !best then best := t
-  | None -> ());
+  end;
   (match st.hooks.hk_wakeup ~clock:st.clock with
   | Some t when t > st.clock ->
     found := true;
@@ -458,7 +472,7 @@ let next_instant st =
     let d = Dheap.min_key st.heap in
     if d < !best then best := d
   end;
-  if !found then Some !best else None
+  if !found then !best else neg_infinity
 
 (* Move the clock and promote every deadline that has come due from the
    heap into the ready set. *)
@@ -479,36 +493,31 @@ let fire_from_sel st m =
 let step st =
   let m = collect_fireable st in
   if m > 0 then Fired (fire_from_sel st m)
-  else
-    match Event_queue.peek_time st.queue with
-    | Some time when Float.equal time st.clock ->
-      let pe =
-        match Event_queue.pop st.queue with
-        | Some (_, pe) -> pe
-        | None -> assert false
-      in
+  else if not (Event_queue.is_empty st.queue) then
+    if Float.equal (Event_queue.top_time st.queue) st.clock then begin
+      let pe = Event_queue.pop_top st.queue in
       complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
       Completed pe.pe_transition
-    | Some _ -> (
+    end
+    else begin
       (* head strictly in the future: advance the clock, leaving the
          entry in place *)
-      match next_instant st with
-      | Some t ->
-        assert (t > st.clock);
-        advance st t;
-        Advanced t
-      | None -> assert false)
-    | None -> (
-      match next_instant st with
-      | Some t when t > st.clock ->
-        advance st t;
-        Advanced t
-      | Some _ ->
-        (* a deadline at the current instant with nothing fireable can
-           only be a vetoed transition; with no other activity and no
-           wakeup the net is stuck for good *)
-        Quiescent
-      | None -> Quiescent)
+      let t = next_instant st in
+      assert (t > st.clock);
+      advance st t;
+      Advanced t
+    end
+  else
+    let t = next_instant st in
+    if t > st.clock then begin
+      advance st t;
+      Advanced t
+    end
+    else
+      (* a deadline at the current instant with nothing fireable can
+         only be a vetoed transition; with no other activity and no
+         wakeup the net is stuck for good *)
+      Quiescent
 
 let fireable_transitions st = List.map (fun tr -> tr.Net.t_id) (fireable st)
 
@@ -609,28 +618,8 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
       end
       else
         (* Peek whether the next instant would overshoot the horizon. *)
-        match next_instant st with
-        | Some t when t > horizon ->
-          st.clock <- horizon;
-          st.instant_firings <- 0;
-          emit_finish horizon;
-          { stop = Horizon; final_clock = horizon; started = st.started;
-            finished = st.finished }
-        | Some t -> (
-          match Event_queue.peek_time st.queue with
-          | Some time when Float.equal time st.clock ->
-            let pe =
-              match Event_queue.pop st.queue with
-              | Some (_, pe) -> pe
-              | None -> assert false
-            in
-            complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
-            loop ()
-          | _ ->
-            assert (t > st.clock);
-            advance st t;
-            loop ())
-        | None ->
+        let t = next_instant st in
+        if t = neg_infinity then begin
           let final =
             if Float.is_finite horizon then horizon else st.clock
           in
@@ -639,6 +628,26 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
           emit_finish final;
           { stop = Dead; final_clock = final; started = st.started;
             finished = st.finished }
+        end
+        else if t > horizon then begin
+          st.clock <- horizon;
+          st.instant_firings <- 0;
+          emit_finish horizon;
+          { stop = Horizon; final_clock = horizon; started = st.started;
+            finished = st.finished }
+        end
+        else if (not (Event_queue.is_empty st.queue))
+                && Float.equal (Event_queue.top_time st.queue) st.clock
+        then begin
+          let pe = Event_queue.pop_top st.queue in
+          complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
+          loop ()
+        end
+        else begin
+          assert (t > st.clock);
+          advance st t;
+          loop ()
+        end
     end
   in
   try loop () with Budget_trip reason -> stop_budget reason

@@ -30,35 +30,35 @@ type report = {
   transitions : transition_stats array;
 }
 
-(* Time-weighted accumulator for an integer-valued step signal. *)
+(* An integer-valued step signal.  Its time integrals live apart, in
+   the accumulator's [integrals] float array: a mutable float field in
+   this mixed record would box a fresh float on every update. *)
 type signal = {
   mutable current : int;
   mutable min : int;
   mutable max : int;
-  mutable weighted_sum : float;    (* integral of value dt *)
-  mutable weighted_sq_sum : float; (* integral of value^2 dt *)
 }
 
-let signal_make v =
-  { current = v; min = v; max = v; weighted_sum = 0.0; weighted_sq_sum = 0.0 }
+let signal_make v = { current = v; min = v; max = v }
 
-let signal_accumulate s dt =
-  if dt > 0.0 then begin
-    let v = float_of_int s.current in
-    s.weighted_sum <- s.weighted_sum +. (v *. dt);
-    s.weighted_sq_sum <- s.weighted_sq_sum +. (v *. v *. dt)
-  end
+(* Add [v dt] and [v^2 dt] of a signal holding [v] to its two integral
+   slots [k] and [k+1]. *)
+let accumulate integrals k v dt =
+  let v = float_of_int v in
+  integrals.(k) <- integrals.(k) +. (v *. dt);
+  integrals.(k + 1) <- integrals.(k + 1) +. (v *. v *. dt)
 
 let signal_set s v =
   s.current <- v;
   if v < s.min then s.min <- v;
   if v > s.max then s.max <- v
 
-let signal_stats s total =
+(* Mean and standard deviation from the integrals of [v] and [v^2]. *)
+let signal_stats sum sq_sum total =
   if total <= 0.0 then (0.0, 0.0)
   else begin
-    let mean = s.weighted_sum /. total in
-    let var = Float.max 0.0 ((s.weighted_sq_sum /. total) -. (mean *. mean)) in
+    let mean = sum /. total in
+    let var = Float.max 0.0 ((sq_sum /. total) -. (mean *. mean)) in
     (mean, sqrt var)
   end
 
@@ -85,6 +85,9 @@ type acc = {
   mutable prev : float;
   mutable place_signals : signal array;
   mutable trans_signals : signal array;
+  (* integral of v dt at [2i], of v^2 dt at [2i+1], for signal i:
+     places first, then transitions *)
+  mutable integrals : float array;
   mutable starts : int array;
   mutable ends : int array;
   mutable final : float option;
@@ -95,8 +98,14 @@ let advance acc time =
   if dt < 0.0 then
     raise (Stat_error (Time_regression { at = time; prev = acc.prev }))
   else if dt > 0.0 then begin
-    Array.iter (fun s -> signal_accumulate s dt) acc.place_signals;
-    Array.iter (fun s -> signal_accumulate s dt) acc.trans_signals;
+    let integrals = acc.integrals in
+    let np = Array.length acc.place_signals in
+    for i = 0 to np - 1 do
+      accumulate integrals (2 * i) acc.place_signals.(i).current dt
+    done;
+    for j = 0 to Array.length acc.trans_signals - 1 do
+      accumulate integrals (2 * (np + j)) acc.trans_signals.(j).current dt
+    done;
     acc.prev <- time
   end
 
@@ -105,16 +114,23 @@ let on_header acc (h : Trace.header) =
   acc.place_signals <- Array.map signal_make h.Trace.h_initial;
   acc.trans_signals <-
     Array.map (fun _ -> signal_make 0) h.Trace.h_transitions;
+  acc.integrals <-
+    Array.make
+      (2 * (Array.length h.Trace.h_places + Array.length h.Trace.h_transitions))
+      0.0;
   acc.starts <- Array.make (Array.length h.Trace.h_transitions) 0;
   acc.ends <- Array.make (Array.length h.Trace.h_transitions) 0
 
+let rec apply_marking place_signals = function
+  | [] -> ()
+  | (p, dm) :: rest ->
+    let s = place_signals.(p) in
+    signal_set s (s.current + dm);
+    apply_marking place_signals rest
+
 let on_delta acc (d : Trace.delta) =
   advance acc d.Trace.d_time;
-  List.iter
-    (fun (p, dm) ->
-      let s = acc.place_signals.(p) in
-      signal_set s (s.current + dm))
-    d.Trace.d_marking;
+  apply_marking acc.place_signals d.Trace.d_marking;
   let ts = acc.trans_signals.(d.Trace.d_transition) in
   (match d.Trace.d_kind with
   | Trace.Fire_start ->
@@ -138,7 +154,9 @@ let build acc =
       Array.mapi
         (fun i name ->
           let s = acc.place_signals.(i) in
-          let avg, dev = signal_stats s length in
+          let avg, dev =
+            signal_stats acc.integrals.(2 * i) acc.integrals.((2 * i) + 1) length
+          in
           {
             ps_name = name;
             ps_min = s.min;
@@ -153,7 +171,10 @@ let build acc =
       Array.mapi
         (fun i name ->
           let s = acc.trans_signals.(i) in
-          let avg, dev = signal_stats s length in
+          let k = 2 * (Array.length acc.place_signals + i) in
+          let avg, dev =
+            signal_stats acc.integrals.(k) acc.integrals.(k + 1) length
+          in
           {
             ts_name = name;
             ts_min = s.min;
@@ -185,6 +206,7 @@ let sink ?(run = 1) () =
       prev = 0.0;
       place_signals = [||];
       trans_signals = [||];
+      integrals = [||];
       starts = [||];
       ends = [||];
       final = None;

@@ -58,12 +58,32 @@ let add_value buf v =
   | Pnut_core.Value.Bool false -> Buffer.add_char buf '\x02'
   | Pnut_core.Value.Bool true -> Buffer.add_char buf '\x03'
 
+(* The marking dictionary of both ends: the last explicit marking list
+   per key tid*2+kind.  Keys of the header's transitions index an array,
+   so a lookup is one load; a key outside it (a trace naming a
+   transition its header lacks) goes to a table. *)
+type marks = {
+  dense : (int * int) list option array;
+  sparse : (int, (int * int) list) Hashtbl.t;
+}
+
+let marks_create ntrans =
+  { dense = Array.make (2 * ntrans) None; sparse = Hashtbl.create 1 }
+
+let marks_find d k =
+  if k >= 0 && k < Array.length d.dense then d.dense.(k)
+  else Hashtbl.find_opt d.sparse k
+
+let marks_set d k m =
+  if k >= 0 && k < Array.length d.dense then d.dense.(k) <- Some m
+  else Hashtbl.replace d.sparse k m
+
 type wstate = {
   buf : Buffer.t;
   flush : unit -> unit;  (* drains [buf] when it grows past the cap *)
   names : (string, int) Hashtbl.t;     (* interned env-variable names *)
   mutable n_names : int;
-  last_marking : (int, (int * int) list) Hashtbl.t;  (* tid*2+kind *)
+  mutable last_marking : marks;
   mutable prev_time : float;
   mutable prev_start_fid : int;
 }
@@ -79,6 +99,7 @@ let intern w name =
 
 let emit_header w (h : Trace.header) =
   let buf = w.buf in
+  w.last_marking <- marks_create (Array.length h.Trace.h_transitions);
   Buffer.add_string buf magic;
   Buffer.add_char buf version;
   add_string buf h.Trace.h_net;
@@ -117,13 +138,15 @@ let emit_delta w (d : Trace.delta) =
   let buf = w.buf in
   let kind = match d.Trace.d_kind with Trace.Fire_start -> 0 | Trace.Fire_end -> 1 in
   let mkey = (d.Trace.d_transition * 2) + kind in
+  let m = d.Trace.d_marking in
   let mark_mode =
-    if d.Trace.d_marking = [] then 0
-    else if Hashtbl.find_opt w.last_marking mkey = Some d.Trace.d_marking then 1
-    else begin
-      Hashtbl.replace w.last_marking mkey d.Trace.d_marking;
+    match m, marks_find w.last_marking mkey with
+    | [], _ -> 0
+    (* the simulator hands over the same precomputed list every time *)
+    | _, Some last when last == m || last = m -> 1
+    | _ ->
+      marks_set w.last_marking mkey m;
       2
-    end
   in
   let has_env = d.Trace.d_env <> [] in
   Buffer.add_char buf
@@ -166,7 +189,7 @@ let make_sink ~flush buf =
       flush;
       names = Hashtbl.create 16;
       n_names = 0;
-      last_marking = Hashtbl.create 64;
+      last_marking = marks_create 0;
       prev_time = 0.0;
       prev_start_fid = -1;
     }
@@ -208,62 +231,109 @@ let to_string tr =
 
 (* -- reading -- *)
 
-(* A pull source over a channel or a string; [pos] feeds error
-   offsets. *)
+(* A byte window over a channel or a string.  [cur] is the next unread
+   byte of [buf.[0 .. len-1]], and [base] counts the bytes consumed
+   before the window, so [base + cur] — the offset in error messages —
+   is the number of bytes read, whatever the window size.  A channel
+   window is refilled with one [input] when it runs dry: the reader
+   never asks for more input than the record it is decoding needs, so
+   it stops at the end record even on a pipe that stays open, although
+   bytes after that record may already sit in the window. *)
 type src = {
-  next : unit -> int;  (* raises End_of_file *)
-  mutable pos : int;
+  buf : Bytes.t;
+  mutable len : int;
+  mutable cur : int;
+  mutable base : int;
+  ic : in_channel option;  (* [None]: the whole input is in [buf] *)
 }
 
-let src_of_channel ic = { next = (fun () -> input_byte ic); pos = 0 }
+let window = 65536
+
+let src_of_channel ic =
+  { buf = Bytes.create window; len = 0; cur = 0; base = 0; ic = Some ic }
 
 let src_of_string s =
-  let i = ref 0 in
-  {
-    next =
-      (fun () ->
-        if !i >= String.length s then raise End_of_file
-        else begin
-          let c = Char.code s.[!i] in
-          incr i;
-          c
-        end);
-    pos = 0;
-  }
+  (* never written: a string source has no refill *)
+  { buf = Bytes.unsafe_of_string s; len = String.length s; cur = 0; base = 0;
+    ic = None }
 
-let fail src msg = raise (Parse_error (src.pos, msg))
+let pos src = src.base + src.cur
 
-let read_byte src =
-  match src.next () with
-  | b ->
-    src.pos <- src.pos + 1;
-    b
-  | exception End_of_file -> fail src "unexpected end of binary trace"
+let fail src msg = raise (Parse_error (pos src, msg))
+
+(* Refill an exhausted window; false at the end of the input. *)
+let refill src =
+  match src.ic with
+  | None -> false
+  | Some ic ->
+    let n = input ic src.buf 0 (Bytes.length src.buf) in
+    src.base <- src.base + src.len;
+    src.len <- n;
+    src.cur <- 0;
+    n > 0
+
+let read_byte_slow src =
+  if refill src then begin
+    src.cur <- 1;
+    Char.code (Bytes.unsafe_get src.buf 0)
+  end
+  else fail src "unexpected end of binary trace"
+
+let[@inline] read_byte src =
+  let i = src.cur in
+  if i < src.len then begin
+    src.cur <- i + 1;
+    Char.code (Bytes.unsafe_get src.buf i)
+  end
+  else read_byte_slow src
 
 let read_varint src =
-  let rec go shift acc =
-    if shift > 62 then fail src "varint overflow";
-    let b = read_byte src in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+  let b = read_byte src in
+  if b land 0x80 = 0 then b
+  else begin
+    let acc = ref (b land 0x7f) in
+    let shift = ref 7 in
+    let more = ref true in
+    while !more do
+      if !shift > 62 then fail src "varint overflow";
+      let b = read_byte src in
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      if b land 0x80 <> 0 then shift := !shift + 7 else more := false
+    done;
+    !acc
+  end
 
 let read_string src =
   let len = read_varint src in
-  if len > 0x10000000 then fail src "string length out of range";
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b i (Char.chr (read_byte src))
-  done;
-  Bytes.unsafe_to_string b
+  (* a 9-byte varint can set the sign bit *)
+  if len < 0 || len > 0x10000000 then fail src "string length out of range";
+  if src.cur + len <= src.len then begin
+    let s = Bytes.sub_string src.buf src.cur len in
+    src.cur <- src.cur + len;
+    s
+  end
+  else begin
+    let b = Bytes.create len in
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set b i (Char.chr (read_byte src))
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let read_f64 src =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (read_byte src)) (i * 8))
-  done;
-  Int64.float_of_bits !bits
+  if src.cur + 8 <= src.len then begin
+    let bits = Bytes.get_int64_le src.buf src.cur in
+    src.cur <- src.cur + 8;
+    Int64.float_of_bits bits
+  end
+  else begin
+    let bits = ref 0L in
+    for i = 0 to 7 do
+      bits :=
+        Int64.logor !bits (Int64.shift_left (Int64.of_int (read_byte src)) (i * 8))
+    done;
+    Int64.float_of_bits !bits
+  end
 
 let read_value src =
   match read_byte src with
@@ -277,7 +347,7 @@ type rstate = {
   src : src;
   mutable r_names : string array;   (* growable interned name table *)
   mutable r_n_names : int;
-  r_last_marking : (int, (int * int) list) Hashtbl.t;
+  mutable r_last_marking : marks;
   mutable r_prev_time : float;
   mutable r_prev_start_fid : int;
 }
@@ -365,7 +435,7 @@ let read_delta r head =
     match mark_mode with
     | 0 -> []
     | 1 -> (
-      match Hashtbl.find_opt r.r_last_marking mkey with
+      match marks_find r.r_last_marking mkey with
       | Some m -> m
       | None -> fail src "marking back-reference before any explicit marking")
     | _ ->
@@ -376,7 +446,7 @@ let read_delta r head =
             let dm = unzigzag (read_varint src) in
             (p, dm))
       in
-      Hashtbl.replace r.r_last_marking mkey m;
+      marks_set r.r_last_marking mkey m;
       m
   in
   let env =
@@ -413,12 +483,14 @@ let stream ?(skip_first_byte = false) src (sink : Trace.sink) =
       src;
       r_names = [||];
       r_n_names = 0;
-      r_last_marking = Hashtbl.create 64;
+      r_last_marking = marks_create 0;
       r_prev_time = 0.0;
       r_prev_start_fid = -1;
     }
   in
-  sink.Trace.on_header (read_header r);
+  let h = read_header r in
+  r.r_last_marking <- marks_create (Array.length h.Trace.h_transitions);
+  sink.Trace.on_header h;
   let rec loop () =
     match read_byte src with
     | 0xff -> sink.Trace.on_finish (read_f64 src)

@@ -88,10 +88,13 @@ val to_string : Trace.t -> string
 val stream_channel :
   ?skip_first_byte:bool -> in_channel -> Trace.sink -> unit
 (** Streams a binary trace into a sink in O(1) memory (no intermediate
-    trace is built).  Stops after the end record, leaving any trailing
-    channel content unread.  [skip_first_byte] is for callers that
-    already consumed the leading magic byte during format
-    auto-detection.  Raises {!Parse_error} on malformed input. *)
+    trace is built).  The channel is read through a 64 KiB window, so
+    bytes after the end record may be consumed; they are tolerated and
+    ignored.  The reader never asks for input after the end record, so
+    a pipe whose writer stays open does not block it.
+    [skip_first_byte] is for callers that already consumed the leading
+    magic byte during format auto-detection.  Raises {!Parse_error} on
+    malformed input; its offset counts the bytes this call consumed. *)
 
 val read_channel : in_channel -> Trace.t
 

@@ -68,8 +68,10 @@ val stream_channel : in_channel -> Trace.sink -> unit
 (** Streams a whole trace from a channel into a sink in O(1) memory,
     auto-detecting the format: a leading [0x00] byte selects the binary
     codec (see {!Binary.magic}), anything else the textual one.  Stops
-    reading after the end record, so trailing unrelated bytes (or a
-    still-open pipe) are left untouched.  Raises [Parse_error] (or
+    at the end record: trailing unrelated bytes are tolerated and
+    ignored (the binary reader may already have buffered some of them),
+    and no input is requested after the end record, so a still-open
+    pipe does not block.  Raises [Parse_error] (or
     [Binary.Parse_error]) on malformed input, including truncation. *)
 
 exception Parse_error of int * string

@@ -521,6 +521,29 @@ let test_restore_rejects_wrong_net () =
   | exception Sim.Sim_error e ->
     Alcotest.failf "wrong error: %s" (Sim.error_message e)
 
+(* -- allocation in the steady state --
+
+   A steady-state event allocates only what outlives it: the trace
+   delta handed to the sink, the future-event entry of a timed firing,
+   and the boxed floats its delay closures return.  Measured per started
+   firing on the Figure 5 model with the null sink; the bound catches a
+   per-event closure, option or boxed random state creeping back into
+   the hot path. *)
+let test_steady_state_allocation () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let st = Sim.create ~seed:1 ~sink:Trace.null_sink net in
+  let _ = Sim.run ~until:1_000.0 ~finish:false st in
+  let started0 = Sim.events_started st in
+  let words0 = Gc.minor_words () in
+  let _ = Sim.run ~until:100_000.0 st in
+  let words = Gc.minor_words () -. words0 in
+  let firings = Sim.events_started st - started0 in
+  let per_firing = words /. float_of_int firings in
+  Alcotest.(check bool) "many firings" true (firings > 50_000);
+  if per_firing > 40.0 then
+    Alcotest.failf "%.1f minor words per started firing (bound 40)"
+      per_firing
+
 let () =
   Alcotest.run "simulator"
     [
@@ -561,6 +584,8 @@ let () =
           Alcotest.test_case "capacity monitoring" `Quick test_capacity_monitoring;
           Alcotest.test_case "manual firing" `Quick test_manual_fire_api;
           Alcotest.test_case "tokens accessor" `Quick test_tokens_accessor;
+          Alcotest.test_case "steady-state allocation" `Quick
+            test_steady_state_allocation;
         ] );
       ( "interpreted",
         [ Alcotest.test_case "predicates and actions" `Quick test_predicates_and_actions ]

@@ -141,7 +141,23 @@ let test_codec_float_precision () =
   let d' = (Trace.deltas back).(0) in
   Alcotest.(check (float 0.0)) "time exact" (0.1 +. 0.2) d'.Trace.d_time;
   Alcotest.(check bool) "tiny float exact" true
-    (List.assoc "v" d'.Trace.d_env = Value.Float 1.0e-17)
+    (List.assoc "v" d'.Trace.d_env = Value.Float 1.0e-17);
+  (* a transition id the header lacks still gets its marking dictionary
+     entry, so the repeated list is a back-reference that resolves *)
+  let stray fid =
+    {
+      Trace.d_time = float_of_int fid;
+      d_kind = Trace.Fire_start;
+      d_transition = 7;
+      d_firing = fid;
+      d_marking = [ (2, -1) ];
+      d_env = [];
+    }
+  in
+  let tr = Trace.make header [ stray 0; stray 1; stray 2 ] 3.0 in
+  Alcotest.(check string) "transition outside the header"
+    (Codec.to_string tr)
+    (Codec.to_string (Binary.parse (Binary.to_string tr)))
 
 let test_codec_foreign_trace () =
   (* a hand-written trace, as a SIMSCRIPT-style external producer would
@@ -295,7 +311,23 @@ let test_binary_roundtrip () =
   Alcotest.(check (float 0.0)) "escape-path time exact" (0.1 +. 0.2)
     d'.Trace.d_time;
   Alcotest.(check bool) "tiny float exact" true
-    (List.assoc "v" d'.Trace.d_env = Value.Float 1.0e-17)
+    (List.assoc "v" d'.Trace.d_env = Value.Float 1.0e-17);
+  (* a transition id the header lacks still gets its marking dictionary
+     entry, so the repeated list is a back-reference that resolves *)
+  let stray fid =
+    {
+      Trace.d_time = float_of_int fid;
+      d_kind = Trace.Fire_start;
+      d_transition = 7;
+      d_firing = fid;
+      d_marking = [ (2, -1) ];
+      d_env = [];
+    }
+  in
+  let tr = Trace.make header [ stray 0; stray 1; stray 2 ] 3.0 in
+  Alcotest.(check string) "transition outside the header"
+    (Codec.to_string tr)
+    (Codec.to_string (Binary.parse (Binary.to_string tr)))
 
 let test_binary_adversarial_names () =
   let tr = adversarial_trace () in
@@ -326,6 +358,10 @@ let test_binary_errors () =
   in
   expect_error "not binary at all" "bad magic";
   expect_error (Binary.magic ^ "\x02") "unsupported binary trace version";
+  (* a net-name length whose 9-byte varint sets the sign bit *)
+  expect_error
+    (Binary.magic ^ "\x01" ^ String.make 8 '\xff' ^ "\x7f")
+    "string length out of range";
   let good = Binary.to_string (sample_trace ()) in
   expect_error (String.sub good 0 (String.length good - 3))
     "unexpected end of binary trace"
@@ -351,6 +387,138 @@ let test_auto_detection () =
         (Codec.to_string from_bin);
       Alcotest.(check string) "text detected" (Codec.to_string tr)
         (Codec.to_string from_text))
+
+(* -- the channel reader: error offsets, window refills, trailing input --
+
+   The binary reader pulls a channel through a 64 KiB window.  Offsets
+   in [Parse_error] count the bytes the reader consumed, so they must not
+   depend on where the window happens to be refilled. *)
+
+let with_temp_file contents f =
+  let tmp = Filename.temp_file "pnut_trace" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
+      In_channel.with_open_bin tmp f)
+
+let collect stream =
+  let sink, get = Trace.collector () in
+  stream sink;
+  get ()
+
+(* One read of a byte string: the trace rendered as text, or the error. *)
+let read_with f =
+  match f () with
+  | tr -> Ok (Codec.to_string tr)
+  | exception Binary.Parse_error (off, msg) -> Error (off, msg)
+
+let via_parse s = read_with (fun () -> Binary.parse s)
+
+let via_binary_channel s =
+  read_with (fun () ->
+      with_temp_file s (fun ic -> collect (Binary.stream_channel ic)))
+
+(* [Codec] consumes the leading NUL itself to pick the format, so its
+   offsets are one less than [Binary.parse]'s. *)
+let via_codec_channel s =
+  read_with (fun () ->
+      with_temp_file s (fun ic -> collect (Codec.stream_channel ic)))
+
+let read_result =
+  let pp ppf = function
+    | Ok text -> Format.fprintf ppf "trace of %d text bytes" (String.length text)
+    | Error (off, msg) -> Format.fprintf ppf "error at %d: %s" off msg
+  in
+  Alcotest.testable pp ( = )
+
+let test_binary_error_offsets () =
+  let good = Binary.to_string (sample_trace ()) in
+  let header_len =
+    String.length (Binary.to_string (Trace.make (sample_header ()) [] 10.0))
+    - 9
+  in
+  let truncated = String.sub good 0 (String.length good - 3) in
+  let bad_head =
+    let b = Bytes.of_string good in
+    Bytes.set b header_len '\x40';
+    Bytes.to_string b
+  in
+  (* pinned: an offset counts consumed bytes, wherever the window ends *)
+  let check name s ~at msg =
+    Alcotest.check read_result (name ^ ", parse") (Error (at, msg))
+      (via_parse s);
+    Alcotest.check read_result (name ^ ", Binary.stream_channel")
+      (Error (at, msg)) (via_binary_channel s);
+    Alcotest.check read_result (name ^ ", Codec.stream_channel")
+      (Error (at - 1, msg)) (via_codec_channel s)
+  in
+  check "truncated" truncated ~at:82 "unexpected end of binary trace";
+  check "bad head byte" bad_head ~at:50 "bad record head byte 0x40"
+
+let long_binary_trace () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let tr, _ = Pnut_sim.Simulator.trace ~seed:5 ~until:40_000.0 net in
+  Binary.to_string tr
+
+let test_binary_window_refills () =
+  let bin = long_binary_trace () in
+  Alcotest.(check bool) "spans several windows" true
+    (String.length bin > 3 * 65536);
+  let agree name s =
+    let expected = via_parse s in
+    Alcotest.check read_result (name ^ ", Binary.stream_channel") expected
+      (via_binary_channel s);
+    let shifted =
+      match expected with
+      | Ok _ -> expected
+      | Error (off, msg) -> Error (off - 1, msg)
+    in
+    Alcotest.check read_result (name ^ ", Codec.stream_channel") shifted
+      (via_codec_channel s)
+  in
+  agree "whole trace" bin;
+  (match via_parse bin with
+  | Ok _ -> ()
+  | Error (off, msg) -> Alcotest.failf "whole trace: error at %d: %s" off msg);
+  List.iter
+    (fun cut ->
+      let s = String.sub bin 0 cut in
+      (match via_parse s with
+      | Ok _ -> Alcotest.failf "cut at %d parsed" cut
+      | Error _ -> ());
+      agree (Printf.sprintf "cut at %d" cut) s)
+    [ 65535; 65536; 65537; 2 * 65536; 3 * 65536 + 1 ]
+
+let test_binary_trailing_input () =
+  let tr = sample_trace () in
+  let bin = Binary.to_string tr in
+  let junk = bin ^ "trailing junk \xff\x00 that is not a trace" in
+  Alcotest.check read_result "junk after the end record, Binary"
+    (Ok (Codec.to_string tr)) (via_binary_channel junk);
+  Alcotest.check read_result "junk after the end record, Codec"
+    (Ok (Codec.to_string tr)) (via_codec_channel junk);
+  (* a pipe whose writer stays open: the reader must stop at the end
+     record instead of waiting for more input *)
+  let rd, wr = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr rd in
+  let oc = Unix.out_channel_of_descr wr in
+  let previous =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> failwith "reader blocked on an open pipe"))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0 : int);
+      Sys.set_signal Sys.sigalrm previous;
+      close_in_noerr ic;
+      close_out_noerr oc)
+    (fun () ->
+      Trace.replay tr (Binary.channel_sink oc);
+      ignore (Unix.alarm 10 : int);
+      let back = collect (Codec.stream_channel ic) in
+      Alcotest.(check string) "pipe left open" (Codec.to_string tr)
+        (Codec.to_string back))
 
 (* -- filter -- *)
 
@@ -595,6 +763,9 @@ let () =
             test_binary_cross_conversion;
           Alcotest.test_case "errors" `Quick test_binary_errors;
           Alcotest.test_case "auto-detection" `Quick test_auto_detection;
+          Alcotest.test_case "error offsets" `Quick test_binary_error_offsets;
+          Alcotest.test_case "window refills" `Quick test_binary_window_refills;
+          Alcotest.test_case "trailing input" `Quick test_binary_trailing_input;
         ] );
       ( "filter",
         [
