@@ -706,6 +706,94 @@ let interpreted_expand_build ?(max_states = 100_000) net =
   ignore (Sys.opaque_identity (succ, pred, !states));
   n
 
+(* The boxed reachability store, frozen in full: the plain FIFO (no
+   stubborn sets, no budget) that [Reach.Graph] ran before the packed
+   {!Pnut_reach.Store} became its only store — per-state records keyed
+   through the hashconsed {!Pnut_reach.Statekey} table, compiled-kernel
+   firing, every edge consed onto one list, then per-source successor
+   and per-target predecessor lists.  Kept here (and only here) as the
+   baseline the packed store's [reach.packed] verdicts are measured
+   against, and as the identity reference on the figures. *)
+type boxed_graph = {
+  bx_states : (int array * (string * Pnut_core.Value.t) list) array;
+  bx_succ : (int * int * int) list array;  (* (from, transition, to) *)
+  bx_pred : (int * int * int) list array;
+  bx_edges : int;
+  bx_complete : bool;
+}
+
+let boxed_fifo_build ?(max_states = 100_000) net =
+  let module SK = Pnut_reach.Statekey in
+  let module Marking = Pnut_core.Marking in
+  let module Env = Pnut_core.Env in
+  let module Kernel = Pnut_core.Kernel in
+  let kernel = Kernel.of_net net in
+  let index = SK.Tbl.create 1024 in
+  let states = ref [] in
+  let n_states = ref 0 in
+  let edges_rev = ref [] in
+  let n_edges = ref 0 in
+  let truncated = ref false in
+  let intern k =
+    match SK.Tbl.find_opt index k with
+    | Some i -> Some (i, false)
+    | None ->
+      if !n_states >= max_states then begin
+        truncated := true;
+        None
+      end
+      else begin
+        let i = !n_states in
+        incr n_states;
+        SK.Tbl.replace index k i;
+        states := (i, k.SK.k_marking, k.SK.k_bindings) :: !states;
+        Some (i, true)
+      end
+  in
+  let m0 = Net.initial_marking net in
+  let env0 = Net.initial_env net in
+  ignore (intern (SK.make m0 env0));
+  let q = Queue.create () in
+  Queue.add (0, m0, env0) q;
+  let trans = Kernel.transitions kernel in
+  while not (Queue.is_empty q) do
+    let i, m, env = Queue.pop q in
+    Array.iter
+      (fun (c : Kernel.ctrans) ->
+        if Kernel.enabled c m env then begin
+          let m' = Marking.copy m in
+          Kernel.apply c m';
+          let env' =
+            if c.Kernel.s_has_action then begin
+              let env' = Env.copy env in
+              Kernel.run_action env' c;
+              env'
+            end
+            else env
+          in
+          match intern (SK.make m' env') with
+          | None -> ()
+          | Some (j, fresh) ->
+            edges_rev := (i, c.Kernel.s_id, j) :: !edges_rev;
+            incr n_edges;
+            if fresh then Queue.add (j, m', env') q
+        end)
+      trans
+  done;
+  let n = !n_states in
+  let bx_states = Array.make n ([||], []) in
+  List.iter (fun (i, m, b) -> bx_states.(i) <- (m, b)) !states;
+  let bx_succ = Array.make n [] in
+  List.iter
+    (fun ((i, _, _) as e) -> bx_succ.(i) <- e :: bx_succ.(i))
+    !edges_rev;
+  let bx_pred = Array.make n [] in
+  Array.iter
+    (List.iter (fun ((_, _, j) as e) -> bx_pred.(j) <- e :: bx_pred.(j)))
+    bx_succ;
+  { bx_states; bx_succ; bx_pred; bx_edges = !n_edges;
+    bx_complete = not !truncated }
+
 (* Extract [<section>.<field>] from a committed BENCH_*.json without a
    JSON dependency: find the section key, then the first occurrence of
    the field after it.  Returns [None] when the file or key is missing —
@@ -805,7 +893,7 @@ let bench_json ~quick ~file ?baseline () =
       (fun (name, m) ->
         let g, s =
           best_of reach_reps (fun () ->
-              Pnut_reach.Graph.build ~max_states:reach_cap ~jobs:1 m)
+              Pnut_reach.Graph.build ~max_states:reach_cap m)
         in
         (name, Pnut_reach.Graph.num_states g, s))
       [ ("pipeline", net);
@@ -814,7 +902,7 @@ let bench_json ~quick ~file ?baseline () =
   let _, kernel_states, kernel_s =
     match reach_models with r :: _ -> r | [] -> assert false
   in
-  (* PR 7: the compact arena store against the boxed store.  The model
+  (* The compact arena store against the frozen boxed store.  The model
      is a 9-place token ring (states = C(N+8,8): N=17 gives 1,081,575,
      N=10 the quick run's 43,758) — big enough that per-state boxing
      and hashtable nodes dominate the boxed build.  The ring conserves
@@ -842,26 +930,30 @@ let bench_json ~quick ~file ?baseline () =
   let ring_cap = 2_000_000 in
   let packed_reps = 3 in
   let ring_boxed_g, ring_boxed_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:ring_cap ~jobs:1 ring)
+    best_of packed_reps (fun () -> boxed_fifo_build ~max_states:ring_cap ring)
   in
   let ring_packed_g, ring_packed_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:ring_cap ~jobs:1 ~packed:true ring)
+        Pnut_reach.Graph.build ~max_states:ring_cap ring)
   in
   let ring_states = Pnut_reach.Graph.num_states ring_packed_g in
   let ring_edges = Pnut_reach.Graph.num_edges ring_packed_g in
   (* [jobs] must not change the packed build: the arena, intern index
      and CSR arrays are byte-identical to the jobs=1 build for every
-     worker count. *)
+     worker count.  The sweeps are serial; [?jobs] survives on
+     [build_supervised] only as a shim for the frozen perfbench
+     harness. *)
+  let build_jobs ~max_states ?por ~jobs net =
+    Pnut_exec.Supervisor.value
+      (Pnut_reach.Graph.build_supervised ~max_states ~jobs ?por net)
+  in
   let packed_jobs_identical =
     let base = Pnut_reach.Graph.packed_arrays ring_packed_g in
     List.for_all
       (fun jobs ->
         jobs = 1
         || Pnut_reach.Graph.packed_arrays
-             (Pnut_reach.Graph.build ~max_states:ring_cap ~jobs ~packed:true
-                ring)
+             (build_jobs ~max_states:ring_cap ~jobs ring)
            = base)
       job_counts
   in
@@ -871,9 +963,9 @@ let bench_json ~quick ~file ?baseline () =
     | Some x -> x
     | None -> Float.nan
   in
-  (* bit-identity of the two representations on the Figure 1-3 models:
-     every state (marking and environment), every successor and
-     predecessor list in order, truncation flag *)
+  (* bit-identity of the packed store and the frozen boxed one on the
+     Figure 1-3 models: every state (marking and environment), every
+     successor and predecessor list in order, truncation flag *)
   let edge_triples es =
     List.map
       (fun (e : Pnut_reach.Graph.edge) ->
@@ -881,43 +973,39 @@ let bench_json ~quick ~file ?baseline () =
          e.Pnut_reach.Graph.e_to))
       es
   in
-  let graphs_identical a b =
-    Pnut_reach.Graph.complete a = Pnut_reach.Graph.complete b
-    && Pnut_reach.Graph.num_states a = Pnut_reach.Graph.num_states b
-    && Pnut_reach.Graph.num_edges a = Pnut_reach.Graph.num_edges b
+  let graphs_identical bx g =
+    bx.bx_complete = Pnut_reach.Graph.complete g
+    && Array.length bx.bx_states = Pnut_reach.Graph.num_states g
+    && bx.bx_edges = Pnut_reach.Graph.num_edges g
     &&
-    let n = Pnut_reach.Graph.num_states a in
     let ok = ref true in
-    for i = 0 to n - 1 do
-      let sa = Pnut_reach.Graph.state a i
-      and sb = Pnut_reach.Graph.state b i in
-      if
-        sa.Pnut_reach.Graph.s_marking <> sb.Pnut_reach.Graph.s_marking
-        || sa.Pnut_reach.Graph.s_env <> sb.Pnut_reach.Graph.s_env
-        || edge_triples (Pnut_reach.Graph.successors a i)
-           <> edge_triples (Pnut_reach.Graph.successors b i)
-        || edge_triples (Pnut_reach.Graph.predecessors a i)
-           <> edge_triples (Pnut_reach.Graph.predecessors b i)
-      then ok := false
-    done;
+    Array.iteri
+      (fun i (m, env) ->
+        let s = Pnut_reach.Graph.state g i in
+        if
+          m <> s.Pnut_reach.Graph.s_marking
+          || env <> s.Pnut_reach.Graph.s_env
+          || bx.bx_succ.(i) <> edge_triples (Pnut_reach.Graph.successors g i)
+          || bx.bx_pred.(i) <> edge_triples (Pnut_reach.Graph.predecessors g i)
+        then ok := false)
+      bx.bx_states;
     !ok
   in
   let packed_identical =
     List.for_all
       (fun m ->
         graphs_identical
-          (Pnut_reach.Graph.build ~max_states:reach_cap ~jobs:1 m)
-          (Pnut_reach.Graph.build ~max_states:reach_cap ~jobs:1 ~packed:true m))
+          (boxed_fifo_build ~max_states:reach_cap m)
+          (Pnut_reach.Graph.build ~max_states:reach_cap m))
       [ net; Pnut_pipeline.Branching.full default ]
     && (if quick then graphs_identical ring_boxed_g ring_packed_g
         else
           (* at 10^6 states the full deep compare costs more than the
              builds; counts and truncation are checked, the per-state
              deep identity rides the quick run and the test suite *)
-          Pnut_reach.Graph.num_states ring_boxed_g = ring_states
-          && Pnut_reach.Graph.num_edges ring_boxed_g = ring_edges
-          && Pnut_reach.Graph.complete ring_boxed_g
-             = Pnut_reach.Graph.complete ring_packed_g)
+          Array.length ring_boxed_g.bx_states = ring_states
+          && ring_boxed_g.bx_edges = ring_edges
+          && ring_boxed_g.bx_complete = Pnut_reach.Graph.complete ring_packed_g)
   in
   (* PR 9: stubborn-set reduction on indep6x4 — six independent 4-stage
      pipelines, the pure interleaving explosion (5^6 = 15625 full
@@ -928,12 +1016,11 @@ let bench_json ~quick ~file ?baseline () =
   let por_cap = 200_000 in
   let por_full_g, por_full_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap ~jobs:1 ~packed:true indep)
+        Pnut_reach.Graph.build ~max_states:por_cap indep)
   in
   let por_red_g, por_red_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap ~jobs:1 ~packed:true
-          ~por:true indep)
+        Pnut_reach.Graph.build ~max_states:por_cap ~por:true indep)
   in
   let por_full_states = Pnut_reach.Graph.num_states por_full_g in
   let por_red_states = Pnut_reach.Graph.num_states por_red_g in
@@ -946,10 +1033,6 @@ let bench_json ~quick ~file ?baseline () =
   in
   let por_deadlocks_identical =
     deadlock_markings por_full_g = deadlock_markings por_red_g
-    && (* the boxed builders must agree with each other too *)
-    deadlock_markings (Pnut_reach.Graph.build ~max_states:por_cap ~jobs:1 indep)
-    = deadlock_markings
-        (Pnut_reach.Graph.build ~max_states:por_cap ~jobs:1 ~por:true indep)
   in
   let por_jobs_identical =
     let base = Pnut_reach.Graph.packed_arrays por_red_g in
@@ -957,8 +1040,7 @@ let bench_json ~quick ~file ?baseline () =
       (fun jobs ->
         jobs = 1
         || Pnut_reach.Graph.packed_arrays
-             (Pnut_reach.Graph.build ~max_states:por_cap ~jobs ~packed:true
-                ~por:true indep)
+             (build_jobs ~max_states:por_cap ~por:true ~jobs indep)
            = base)
       job_counts
   in
@@ -979,8 +1061,7 @@ let bench_json ~quick ~file ?baseline () =
   let timed_cap = 200_000 in
   let timed_class_g, timed_class_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Timed.build ~max_states:timed_cap ~jobs:1 ~packed:true
-          timed_net)
+        Pnut_reach.Timed.build ~max_states:timed_cap timed_net)
   in
   let timed_explicit_g, timed_explicit_s =
     best_of packed_reps (fun () ->
@@ -1028,8 +1109,9 @@ let bench_json ~quick ~file ?baseline () =
         jobs = 1
         ||
         let g =
-          Pnut_reach.Timed.build ~max_states:timed_cap ~jobs ~packed:true
-            timed_net
+          Pnut_exec.Supervisor.value
+            (Pnut_reach.Timed.build_supervised ~max_states:timed_cap ~jobs
+               timed_net)
         in
         ( Pnut_reach.Timed.packed_arrays g,
           Pnut_reach.Timed.domain_arrays g )

@@ -679,6 +679,12 @@ let check_cmd =
 
 (* -- pnut reach -- *)
 
+(* The store's footprint; the [None] arm only types the shim [option]
+   of [packed_bytes_per_state]. *)
+let bytes_per_state = function
+  | Some b -> Printf.sprintf "%.1f" b
+  | None -> "-"
+
 let reach_cmd =
   let doc = "Build and analyze the reachability graph of a model." in
   let timed =
@@ -709,19 +715,6 @@ let reach_cmd =
                  (inev/alw are branching-time AF/AG), e.g. \
                  'forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]'.")
   in
-  let packed =
-    Arg.(value
-         & opt (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-         & info [ "packed" ] ~docv:"MODE"
-             ~doc:"Compact bit-packed state store: auto (on when every \
-                   place has a known bound), on, or off.  Cuts memory by \
-                   an order of magnitude on large graphs; the graph built \
-                   is identical either way.  Covers $(b,--timed) too: \
-                   state classes pack as marking fields plus an interned \
-                   (environment, firing-domain) id.  Every build is \
-                   serial: $(b,--jobs) leaves the graph the same for \
-                   every worker count.")
-  in
   let por =
     Arg.(value
          & opt (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
@@ -736,7 +729,7 @@ let reach_cmd =
                    concurrent nets; state and edge counts are counts of \
                    the reduced graph.")
   in
-  let run path timed explicit max_states ctl query packed por jobs budget =
+  let run path timed explicit max_states ctl query por budget =
     let net = load_net path in
     (* On a budget trip the partial graph is still a valid prefix:
        summarize it, run the CTL/query checks on it (a failure on the
@@ -747,13 +740,11 @@ let reach_cmd =
         die "--por on: partial-order reduction supports untimed \
              reachability only";
       if explicit then begin
-        if packed = `On then
-          die "--packed on: the explicit timed expansion is boxed only; \
-               drop --explicit for the packed state-class graph";
         let g =
           settle "reach"
-            (Pnut_reach.Timed_explicit.build_supervised ~max_states ?budget
-               net)
+            (or_die (fun () ->
+                 Pnut_reach.Timed_explicit.build_supervised ~max_states
+                   ?budget net))
         in
         Format.printf "%a@." Pnut_reach.Timed_explicit.pp_summary g;
         Printf.eprintf "reach: states=%d edges=%d bytes/state=-\n%!"
@@ -761,37 +752,20 @@ let reach_cmd =
           (Pnut_reach.Timed_explicit.num_edges g)
       end
       else begin
-        let packed =
-          match packed with
-          | `On -> true
-          | `Off -> false
-          | `Auto -> Pnut_reach.Packed.bounds_known net
-        in
         let g =
           settle "reach"
-            (Pnut_reach.Timed.build_supervised ~max_states ~jobs ~packed
-               ?budget net)
+            (or_die (fun () ->
+                 Pnut_reach.Timed.build_supervised ~max_states ?budget net))
         in
         Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
-        let bytes_per_state =
-          match Pnut_reach.Timed.packed_bytes_per_state g with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "-"
-        in
         Printf.eprintf "reach: classes=%d edges=%d vectors=%d bytes/state=%s\n%!"
           (Pnut_reach.Timed.num_states g)
           (Pnut_reach.Timed.num_edges g)
           (Pnut_reach.Timed.num_vectors g)
-          bytes_per_state
+          (bytes_per_state (Pnut_reach.Timed.packed_bytes_per_state g))
       end
     end
     else begin
-      let packed =
-        match packed with
-        | `On -> true
-        | `Off -> false
-        | `Auto -> Pnut_reach.Packed.bounds_known net
-      in
       let por =
         match por with
         | `On ->
@@ -808,8 +782,8 @@ let reach_cmd =
       in
       let g =
         settle "reach"
-          (Pnut_reach.Graph.build_supervised ~max_states ~jobs ?budget ~packed
-             ~por net)
+          (or_die (fun () ->
+               Pnut_reach.Graph.build_supervised ~max_states ?budget ~por net))
       in
       Format.printf "%a@." Pnut_reach.Graph.pp_summary g;
       (* One-line machine-grepable stats on stderr.  por_reduction is the
@@ -817,11 +791,6 @@ let reach_cmd =
          expansion would have taken, over edges actually recorded) — a
          lower bound on the state-count reduction, measurable without
          building the full graph; 1.0x when the reduction is off. *)
-      let bytes_per_state =
-        match Pnut_reach.Graph.packed_bytes_per_state g with
-        | Some b -> Printf.sprintf "%.1f" b
-        | None -> "-"
-      in
       let por_reduction =
         if not por then 1.0
         else begin
@@ -846,7 +815,8 @@ let reach_cmd =
                       por_reduction=%.1fx\n%!"
         (Pnut_reach.Graph.num_states g)
         (Pnut_reach.Graph.num_edges g)
-        bytes_per_state por_reduction;
+        (bytes_per_state (Pnut_reach.Graph.packed_bytes_per_state g))
+        por_reduction;
       let failures = ref 0 in
       List.iter
         (fun f ->
@@ -871,7 +841,7 @@ let reach_cmd =
   in
   Cmd.v (Cmd.info "reach" ~doc)
     Term.(const run $ net_arg $ timed $ explicit $ max_states $ ctl $ query
-          $ packed $ por $ jobs_arg $ budget_arg)
+          $ por $ budget_arg)
 
 (* -- pnut invariants -- *)
 

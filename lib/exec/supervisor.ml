@@ -42,14 +42,16 @@ let pp_progress ppf p =
 
 type monitor = { budget : Budget.t; started : float; is_active : bool }
 
+(* The start time is taken even without a budget: a build's own
+   state cap still degrades, and its progress must report a real
+   elapsed time.  One [gettimeofday] per run; [check] stays a no-op. *)
 let start budget =
   let is_active = not (Budget.is_none budget) in
-  let started = if is_active then Unix.gettimeofday () else 0.0 in
-  { budget; started; is_active }
+  { budget; started = Unix.gettimeofday (); is_active }
 
 let active m = m.is_active
 
-let elapsed m = if m.is_active then Unix.gettimeofday () -. m.started else 0.0
+let elapsed m = Unix.gettimeofday () -. m.started
 
 let check m =
   if not m.is_active then None

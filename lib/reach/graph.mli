@@ -26,24 +26,16 @@ type t
 
 val build :
   ?max_states:int ->
-  ?jobs:int ->
-  ?packed:bool ->
   ?por:bool ->
   Pnut_core.Net.t ->
   t
 (** Default cap: 100_000 states.  Raises [Invalid_argument] if the net
     has stochastic predicates or actions.
 
-    Both sweeps are serial FIFOs.  [jobs] is validated by
-    {!Pnut_exec.Pool.resolve} and otherwise ignored, so the graph —
-    state numbering, edge order, truncation — is the same for every
-    [jobs] value.
-
-    [packed] (default [false]) builds into the {!Store} compact arena:
-    states are bit-packed (fields sized from
-    {!Pnut_core.Incidence.place_bounds} with a checked widen path) and
-    edges CSR-encoded, cutting memory by an order of magnitude at the
-    10^6+-state scale.
+    The sweep is a serial FIFO into the {!Store} compact arena: states
+    are bit-packed (fields sized from
+    {!Pnut_core.Incidence.place_bounds} with a checked widen path, so
+    unbounded nets pack too) and edges CSR-encoded.
 
     [por] (default [false]) applies the deadlock-preserving stubborn-set
     reduction of {!Stubborn}: at each state only the enabled members of
@@ -52,10 +44,9 @@ val build :
     on terminating nets, the same per-place bounds).  State and edge
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
-    deterministic function of the marking, so the boxed and packed
-    builders still share one numbering.  Raises {!Stubborn.Unsupported} when
-    the net has variables, tables, predicates or actions (pre-check
-    with {!Stubborn.unsupported}). *)
+    deterministic function of the marking, so the numbering is too.
+    Raises {!Stubborn.Unsupported} when the net has variables, tables,
+    predicates or actions (pre-check with {!Stubborn.unsupported}). *)
 
 val build_supervised :
   ?max_states:int ->
@@ -74,9 +65,13 @@ val build_supervised :
     snapshot with visited and frontier counts.  A budgeted build that
     completes returns a graph identical to {!build}'s.
 
-    With [packed], [frontier_spill] caps the bytes of frontier buffered
-    in memory before full chunks spill to a temp file (default:
-    {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]). *)
+    [frontier_spill] caps the bytes of frontier buffered in memory
+    before full chunks spill to a temp file (default:
+    {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]).
+
+    [jobs] is validated by {!Pnut_exec.Pool.resolve} and otherwise
+    ignored; [packed] is ignored.  Both are shims for the frozen
+    perfbench harness, removed with ROADMAP item 1. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -93,14 +88,16 @@ val find_state : t -> int array -> int option
     the marking — returns the first). *)
 
 val packed_bytes_per_state : t -> float option
-(** Store footprint (arena + index bytes over states) for a packed
-    graph; [None] for the boxed representation. *)
+(** Store footprint (arena + index bytes over states).  Always [Some];
+    the [option] is a shim for the frozen perfbench harness, removed with
+    ROADMAP item 1. *)
 
 val packed_arrays : t -> (int array * int array * int array * int array) option
-(** The packed store's physical [(arena, index, succ_off, succ_dat)]
-    arrays ([None] for the boxed representation), exposed so the
-    jobs-sweep determinism tests and the bench identity gate can assert
-    byte-for-byte equality across builders.  Read only. *)
+(** The store's physical [(arena, index, succ_off, succ_dat)] arrays,
+    exposed so determinism tests and the bench identity gate can assert
+    byte-for-byte equality between builds.  Read only.  Always [Some];
+    the [option] is a shim for the frozen perfbench harness, removed with
+    ROADMAP item 1. *)
 
 (** {2 Analyses} *)
 

@@ -35,8 +35,9 @@ val create :
     demand via {!widen} either way. *)
 
 val bounds_known : Pnut_core.Net.t -> bool
-(** Every place has a known bound — the condition under which the CLI
-    turns the packed store on by default. *)
+(** Every place has a known bound from
+    {!Pnut_core.Incidence.place_bounds}.  Kept for the frozen perfbench
+    harness; removed with ROADMAP item 1. *)
 
 val layout : t -> layout
 val words : layout -> int

@@ -48,7 +48,7 @@ module Frontier = struct
       head_len = 0;
       middle = Queue.create ();
       mem_bytes = 0;
-      tail = Array.make chunk_ints 0;
+      tail = Array.make (min chunk_ints 64) 0;
       tail_len = 0;
       count = 0;
       file = None;
@@ -97,7 +97,12 @@ module Frontier = struct
 
   let push t v =
     if v < 0 then invalid_arg "Frontier.push: negative index";
-    if t.tail_len >= t.chunk_ints then flush_tail t;
+    if t.tail_len >= t.chunk_ints then flush_tail t
+    else if t.tail_len >= Array.length t.tail then begin
+      let a = Array.make (min t.chunk_ints (2 * t.tail_len)) 0 in
+      Array.blit t.tail 0 a 0 t.tail_len;
+      t.tail <- a
+    end;
     t.tail.(t.tail_len) <- v;
     t.tail_len <- t.tail_len + 1;
     t.count <- t.count + 1
@@ -128,10 +133,14 @@ module Frontier = struct
         t.head_pos <- 0;
         t.head_len <- count
       | None ->
+        (* The drained head becomes the new tail: a small graph's
+           frontier drains at nearly every pop, and a fresh chunk each
+           time cost more than the sweep. *)
+        let spare = t.head in
         t.head <- t.tail;
         t.head_pos <- 0;
         t.head_len <- t.tail_len;
-        t.tail <- Array.make t.chunk_ints 0;
+        t.tail <- (if Array.length spare > 0 then spare else Array.make 64 0);
         t.tail_len <- 0
     end;
     let v = t.head.(t.head_pos) in
@@ -359,8 +368,7 @@ let iter_edges st f =
   done
 
 (* -- predecessor CSR: counting sort over the successor array, stable
-      in sweep order so per-target slices match the boxed builder's
-      traversal -- *)
+      in sweep order -- *)
 
 let build_pred st =
   if not st.pred_built then begin
@@ -388,8 +396,8 @@ let build_pred st =
     st.pred_built <- true
   end
 
-(* Reverse sweep order, matching the boxed builder (which prepends while
-   walking sources ascending). *)
+(* Reverse sweep order: what prepending while walking sources
+   ascending gives, the order of the interpreted oracle BFS. *)
 let predecessors st j =
   build_pred st;
   let acc = ref [] in

@@ -12,8 +12,7 @@
     or edge counts, and path-sensitive queries must use the full build.
 
     The chosen set is a deterministic function of the marking, so the
-    boxed and packed builders produce the same reduced graph at any
-    [--jobs] level. *)
+    reduced graph is deterministic too. *)
 
 (** Why a net falls outside the reduction's fragment. *)
 type unsupported_feature =

@@ -36,8 +36,8 @@
    via {!Statekey}, pack into the {!Store} arena (marking fields plus
    the interned (env, in-flight) domain in the extra-id field) and run
    under {!Pnut_exec.Supervisor} budgets.  The sweep is one serial FIFO
-   over residual vectors at every [jobs] (a hash-sharded sweep measured
-   no faster than it at two domains; see docs/PERFORMANCE.md).  Inside
+   over residual vectors (a hash-sharded sweep measured no faster than
+   it at two domains; see docs/PERFORMANCE.md).  Inside
    a class, vectors dedup on {!vec_key}, which matches the ["%.9g"]
    rendering of every residual without formatting the integral ones.
    {!Timed_explicit} keeps the old semantics frozen as the differential
@@ -70,25 +70,14 @@ type edge = {
   e_to : int;
 }
 
-(* Same two physical layouts as {!Graph}: [Boxed] keeps per-class
-   records and edge lists, [Compact] is the packed arena with CSR
-   edges.  The timer supports and interval envelopes live in flat side
-   arrays shared by both layouts (they are small — one slot per timer
-   per class — and have no packed encoding). *)
-type repr =
-  | Boxed of {
-      markings : int array array;
-      envs : Env.t array;
-      succ : edge list array;
-      pred : edge list array;
-    }
-  | Compact of Store.t
-
+(* Classes live in the {!Store} arena with CSR edges, as in {!Graph}.
+   The timer supports and interval envelopes live in flat side arrays
+   (they are small — one slot per timer per class — and have no packed
+   encoding). *)
 type t = {
   net : Net.t;
-  repr : repr;
+  store : Store.t;
   complete : bool;
-  n_edges : int;
   n_vectors : int;  (* residual vectors explored to close the classes *)
   sup_off : int array;  (* class -> start into sup/iv; length n+1 *)
   sup : int array;  (* 2*tid = in-flight slot, 2*tid+1 = pending slot *)
@@ -99,28 +88,18 @@ type t = {
 let net g = g.net
 let complete g = g.complete
 let num_vectors g = g.n_vectors
-let num_edges g = g.n_edges
-
-let num_states g =
-  match g.repr with
-  | Boxed b -> Array.length b.markings
-  | Compact st -> Store.num_states st
+let num_edges g = Store.num_edges g.store
+let num_states g = Store.num_states g.store
 
 (* Fire and Complete edges share the store's transition-id field:
    even codes fire, odd codes complete. *)
 let label_of_code c = if c land 1 = 0 then Fire (c asr 1) else Complete (c asr 1)
 
 let state g i =
-  let marking, env_bindings =
-    match g.repr with
-    | Boxed b -> (b.markings.(i), Env.bindings b.envs.(i))
-    | Compact st ->
-      let codec = Store.codec st in
-      let np = Packed.places (Packed.layout codec) in
-      let m = Array.make np 0 in
-      Store.marking_into st i m;
-      (m, Packed.extra_bindings codec (Store.extra st i))
-  in
+  let st = g.store in
+  let codec = Store.codec st in
+  let marking = Array.make (Packed.places (Packed.layout codec)) 0 in
+  Store.marking_into st i marking;
   let lo = g.sup_off.(i) and hi = g.sup_off.(i + 1) in
   let flight = ref [] and pending = ref [] in
   let flight_iv = ref [] and pending_iv = ref [] in
@@ -143,36 +122,23 @@ let state g i =
     ts_pending = !pending;
     ts_flight_iv = !flight_iv;
     ts_pending_iv = !pending_iv;
-    ts_env = env_bindings;
+    ts_env = Packed.extra_bindings codec (Store.extra st i);
   }
 
 let initial _ = 0
 
 let successors g i =
-  match g.repr with
-  | Boxed b -> b.succ.(i)
-  | Compact st ->
-    List.map
-      (fun (code, tgt) -> { e_from = i; e_label = label_of_code code; e_to = tgt })
-      (Store.successors st i)
+  List.map
+    (fun (code, tgt) -> { e_from = i; e_label = label_of_code code; e_to = tgt })
+    (Store.successors g.store i)
 
 let predecessors g j =
-  match g.repr with
-  | Boxed b -> b.pred.(j)
-  | Compact st ->
-    List.map
-      (fun (src, code) -> { e_from = src; e_label = label_of_code code; e_to = j })
-      (Store.predecessors st j)
+  List.map
+    (fun (src, code) -> { e_from = src; e_label = label_of_code code; e_to = j })
+    (Store.predecessors g.store j)
 
-let packed_bytes_per_state g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.bytes_per_state st)
-
-let packed_arrays g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.internal_arrays st)
+let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
+let packed_arrays g = Some (Store.internal_arrays g.store)
 
 let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
 
@@ -603,28 +569,7 @@ let assemble_domains classes =
     classes;
   (sup_off, sup, lo, hi)
 
-let assemble_boxed classes =
-  let n = Array.length classes in
-  let markings = Array.map (fun cl -> cl.cl_marking) classes in
-  let envs = Array.map (fun cl -> cl.cl_env) classes in
-  let succ = Array.make n [] in
-  let pred = Array.make n [] in
-  Array.iteri
-    (fun i cl ->
-      succ.(i) <-
-        List.rev_map
-          (fun (code, j) -> { e_from = i; e_label = label_of_code code; e_to = j })
-          cl.cl_edges)
-    classes;
-  Array.iter
-    (fun l -> List.iter (fun e -> pred.(e.e_to) <- e :: pred.(e.e_to)) l)
-    succ;
-  Boxed { markings; envs; succ; pred }
-
-let count_edges classes =
-  Array.fold_left (fun a cl -> a + List.length cl.cl_edges) 0 classes
-
-let build_supervised ?(max_states = 50_000) ?jobs ?(packed = false)
+let build_supervised ?(max_states = 50_000) ?jobs ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
@@ -637,44 +582,32 @@ let build_supervised ?(max_states = 50_000) ?jobs ?(packed = false)
   let classes, n_vectors, truncated, budget_stop, frontier_left =
     build_serial ~max_states ~monitor ~monitored kernel net
   in
-  let repr =
-    if packed then Compact (assemble_store net classes)
-    else assemble_boxed classes
-  in
+  let store = assemble_store net classes in
   let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
   let complete = (not truncated) && budget_stop = None in
   Pnut_exec.Supervisor.verdict monitor ~stop:budget_stop ~capped:truncated
     ~visited:(Array.length classes) ~frontier:frontier_left
-    { net; repr; complete; n_edges = count_edges classes; n_vectors;
-      sup_off; sup; iv_lo; iv_hi }
+    { net; store; complete; n_vectors; sup_off; sup; iv_lo; iv_hi }
 
-let build ?max_states ?jobs ?packed net =
-  Pnut_exec.Supervisor.value (build_supervised ?max_states ?jobs ?packed net)
+let build ?max_states net =
+  Pnut_exec.Supervisor.value (build_supervised ?max_states net)
 
 let deadlocks g =
   let acc = ref [] in
-  (match g.repr with
-  | Boxed b ->
-    for i = Array.length b.succ - 1 downto 0 do
-      if b.succ.(i) = [] then acc := i :: !acc
-    done
-  | Compact st ->
-    for i = Store.num_states st - 1 downto 0 do
-      if Store.out_degree st i = 0 then acc := i :: !acc
-    done);
+  for i = num_states g - 1 downto 0 do
+    if Store.out_degree g.store i = 0 then acc := i :: !acc
+  done;
   !acc
 
 let max_tokens g p =
-  match g.repr with
-  | Boxed b -> Array.fold_left (fun acc m -> max acc m.(p)) 0 b.markings
-  | Compact st ->
-    let scratch = Array.make (Net.num_places g.net) 0 in
-    let acc = ref 0 in
-    for i = 0 to Store.num_states st - 1 do
-      Store.marking_into st i scratch;
-      if scratch.(p) > !acc then acc := scratch.(p)
-    done;
-    !acc
+  let st = g.store in
+  let scratch = Array.make (Net.num_places g.net) 0 in
+  let acc = ref 0 in
+  for i = 0 to Store.num_states st - 1 do
+    Store.marking_into st i scratch;
+    if scratch.(p) > !acc then acc := scratch.(p)
+  done;
+  !acc
 
 (* Earliest time before [tid] first starts firing: a uniform-cost
    search over normalized vectors where an edge costs its normalization

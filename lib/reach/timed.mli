@@ -19,10 +19,9 @@
     ([horizon]) exploration remains on the oracle only.
 
     The construction is unified onto the packed/supervised graph
-    stack: with [packed], classes encode into the {!Store} arena
-    (marking fields plus the interned (env, in-flight domain) in the
-    extra-id field).  The class sweep is serial in both
-    representations, so [jobs] changes nothing in the graph.
+    stack: classes encode into the {!Store} arena (marking fields plus
+    the interned (env, in-flight domain) in the extra-id field), and
+    the class sweep is serial.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -61,16 +60,10 @@ type edge = {
 
 type t
 
-val build :
-  ?max_states:int -> ?jobs:int -> ?packed:bool -> Pnut_core.Net.t -> t
-(** Build the state-class graph; [max_states] (a cap on {e classes})
-    defaults to 50_000.  Raises [Invalid_argument] on stochastic
-    delays, predicates or actions.
-
-    With [packed] the graph lives in a bit-packed {!Store} arena;
-    without it the graph is boxed.  [jobs] is validated by
-    {!Pnut_exec.Pool.resolve} but unused: the build is serial, so the
-    graph is the same for every [jobs] value. *)
+val build : ?max_states:int -> Pnut_core.Net.t -> t
+(** Build the state-class graph into a bit-packed {!Store} arena;
+    [max_states] (a cap on {e classes}) defaults to 50_000.  Raises
+    [Invalid_argument] on stochastic delays, predicates or actions. *)
 
 val build_supervised :
   ?max_states:int ->
@@ -83,7 +76,11 @@ val build_supervised :
     [budget.max_states] tightens [max_states].  A tripped limit —
     including the class cap — yields [Degraded] with the partial graph
     (a valid prefix of classes) and visited/frontier counts; a budgeted
-    build that completes returns a graph identical to {!build}'s. *)
+    build that completes returns a graph identical to {!build}'s.
+
+    [jobs] is validated by {!Pnut_exec.Pool.resolve} and otherwise
+    ignored; [packed] is ignored.  Both are shims for the frozen
+    perfbench harness, removed with ROADMAP item 1. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -101,17 +98,20 @@ val successors : t -> int -> edge list
 val predecessors : t -> int -> edge list
 
 val packed_bytes_per_state : t -> float option
-(** Arena bytes per class for a packed graph; [None] when boxed. *)
+(** Arena bytes per class.  Always [Some]; the [option] is a shim for
+    the frozen perfbench harness, removed with ROADMAP item 1. *)
 
 val packed_arrays : t -> (int array * int array * int array * int array) option
-(** [(arena, index, edge offsets, edge data)] of a packed graph —
-    byte-identical across [jobs] values; [None] when boxed. *)
+(** [(arena, index, edge offsets, edge data)] of the store, for
+    byte-identity checks between builds.  Always [Some]; the [option]
+    is a shim for the frozen perfbench harness, removed with ROADMAP
+    item 1. *)
 
 val domain_arrays : t -> int array * int array * float array * float array
 (** [(off, sup, lo, hi)]: for class [i], slots [off.(i) .. off.(i+1)-1]
     hold its timer support — [2*t] an in-flight timer of transition
     [t], [2*t+1] its enabling timer — with the interval domain in
-    [lo]/[hi].  Identical across [jobs] and representations. *)
+    [lo]/[hi]. *)
 
 val deadlocks : t -> int list
 (** Timed-dead classes: nothing fireable, nothing in flight, nothing

@@ -1,8 +1,7 @@
 (* Differential validation of the state-class construction: on random
    bounded timed nets the class graph must agree with the frozen
    explicit expansion (Timed_explicit) on everything the analyses
-   consume — reachable markings, deadlocks, place bounds — and the
-   packed class arrays must be byte-identical for every [jobs] value. *)
+   consume — reachable markings, deadlocks, place bounds. *)
 
 module Net = Pnut_core.Net
 module Expr = Pnut_core.Expr
@@ -136,37 +135,21 @@ let prop_never_larger =
       | None -> true
       | Some (g, x) -> Timed.num_states g <= Tx.num_states x)
 
-let prop_packed_boxed_agree =
-  QCheck2.Test.make ~name:"packed and boxed class graphs decode identically"
-    ~count:60 gen_spec (fun spec ->
-      let net = build_net spec in
-      let digest g =
-        List.init (Timed.num_states g) (fun i ->
-            let s = Timed.state g i in
-            ( s.Timed.ts_marking, s.Timed.ts_flight, s.Timed.ts_pending,
-              s.Timed.ts_flight_iv, s.Timed.ts_pending_iv, s.Timed.ts_env,
-              Timed.successors g i ))
-      in
-      let boxed = Timed.build ~max_states:3_000 net in
-      let packed = Timed.build ~max_states:3_000 ~packed:true net in
-      digest boxed = digest packed)
-
-(* The class sweep is serial at every [jobs]; this pins that [jobs]
-   leaves the packed store and the interval domains unchanged. *)
-let prop_jobs_byte_identical =
+(* A budgeted build that completes must return the graph {!Timed.build}
+   returns, byte for byte; one that hits the class cap must say so. *)
+let prop_supervised_identical =
   QCheck2.Test.make
-    ~name:"packed class arrays are byte-identical across jobs" ~count:30
+    ~name:"budgeted class graph matches the plain build" ~count:60
     gen_spec (fun spec ->
       let net = build_net spec in
-      let serial = Timed.build ~max_states:3_000 ~jobs:1 ~packed:true net in
-      List.for_all
-        (fun jobs ->
-          let sharded =
-            Timed.build ~max_states:3_000 ~jobs ~packed:true net
-          in
-          Timed.packed_arrays serial = Timed.packed_arrays sharded
-          && Timed.domain_arrays serial = Timed.domain_arrays sharded)
-        [ 2; 4 ])
+      let plain = Timed.build ~max_states:3_000 net in
+      let budget = Pnut_exec.Budget.make ~max_states:3_000 () in
+      match Timed.build_supervised ~max_states:3_000 ~budget net with
+      | Pnut_exec.Supervisor.Complete g ->
+        Timed.complete plain
+        && Timed.packed_arrays g = Timed.packed_arrays plain
+        && Timed.domain_arrays g = Timed.domain_arrays plain
+      | Pnut_exec.Supervisor.Degraded _ -> not (Timed.complete plain))
 
 (* -- the acceptance benchmark: the paper's Figure-5 pipeline with a
       10-cycle memory is where tick interpolation hurts the explicit
@@ -199,7 +182,7 @@ let () =
           q prop_same_bounds;
           q prop_never_larger;
         ] );
-      ("representations", [ q prop_packed_boxed_agree; q prop_jobs_byte_identical ]);
+      ("representations", [ q prop_supervised_identical ]);
       ( "pipeline",
         [ Alcotest.test_case "figure-5 reduction" `Quick test_pipeline_reduction ] );
     ]

@@ -265,22 +265,56 @@ let test_timed_reach () =
   in
   Alcotest.(check bool) "classes beat explicit states" true
     (class_states < explicit_states);
-  (* --packed covers --timed now: auto packs the bounded pipeline, off
-     falls back to the boxed build of the same graph *)
-  let boxed =
-    check_run "timed boxed" [ "reach"; model_file; "--timed"; "--packed"; "off" ]
-  in
-  let err = read_file (tmp "err") in
-  Testutil.check_contains "boxed stderr" err "bytes/state=-";
-  Alcotest.(check string) "packed and boxed summaries agree" out boxed;
-  (* --explicit is a --timed refinement, and the explicit expansion has
-     no packed encoding *)
+  (* --explicit is a --timed refinement *)
   let code, _ = run [ "reach"; model_file; "--explicit" ] in
-  Alcotest.(check int) "--explicit without --timed exits 2" 2 code;
-  let code, _ =
-    run [ "reach"; model_file; "--timed"; "--explicit"; "--packed"; "on" ]
+  Alcotest.(check int) "--explicit without --timed exits 2" 2 code
+
+(* The numeric [bytes/state=N] field of a [pnut reach] stderr line. *)
+let bytes_per_state err =
+  let key = "bytes/state=" in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length err then None
+    else if String.sub err i n = key then
+      Scanf.sscanf
+        (String.sub err (i + n) (String.length err - i - n))
+        "%f" Option.some
+    else find (i + 1)
   in
-  Alcotest.(check int) "--explicit --packed on exits 2" 2 code
+  try find 0 with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
+let test_reach_store () =
+  (* one store for every net: the bounded pipeline, its timed class
+     graph and an unbounded generator all report a numeric footprint *)
+  let pump = tmp "pump.pn" in
+  let oc = open_out pump in
+  output_string oc "net pump\nplace p init 1\nplace q\ntransition t\n  in p\n  out p, q\n";
+  close_out oc;
+  List.iter
+    (fun (what, args, want) ->
+      let code, _ = run ("reach" :: args) in
+      Alcotest.(check int) (what ^ " exit code") want code;
+      let err = read_file (tmp "err") in
+      match bytes_per_state err with
+      | Some b -> Alcotest.(check bool) (what ^ " bytes/state > 0") true (b > 0.)
+      | None -> Alcotest.failf "%s: no numeric bytes/state in %S" what err)
+    [ ("pipeline", [ model_file ], 0);
+      ("timed pipeline", [ model_file; "--timed" ], 0);
+      ("unbounded pump", [ pump; "--max-states"; "1000" ], 3) ]
+
+let test_reach_stochastic_rejected () =
+  (* the interpreted pipeline draws random values in its actions: every
+     reach build rejects it with exit 2 and names the transitions *)
+  let isa = tmp "interpreted.pn" in
+  ignore (check_run "model" [ "model"; "interpreted"; "-o"; isa ] : string);
+  List.iter
+    (fun (what, args, names) ->
+      let code, _ = run ("reach" :: isa :: args) in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      Testutil.check_contains (what ^ " stderr") (read_file (tmp "err")) names)
+    [ ("reach", [], "Decode, Issue");
+      ("timed", [ "--timed" ], "Decode");
+      ("explicit", [ "--timed"; "--explicit" ], "Decode") ]
 
 let test_model_list () =
   let out = check_run "model list" [ "model"; "--list" ] in
@@ -587,6 +621,9 @@ let () =
           Alcotest.test_case "reach query" `Quick test_reach_query;
           Alcotest.test_case "reach por" `Quick test_reach_por;
           Alcotest.test_case "timed reach" `Quick test_timed_reach;
+          Alcotest.test_case "reach store" `Quick test_reach_store;
+          Alcotest.test_case "reach stochastic rejected" `Quick
+            test_reach_stochastic_rejected;
           Alcotest.test_case "model list" `Quick test_model_list;
           Alcotest.test_case "invariants" `Quick test_invariants;
           Alcotest.test_case "anim" `Quick test_anim;

@@ -7,11 +7,11 @@
    not change:
 
    - [Reach.Graph.build] (kernel arc arrays + interpreted
-     predicates/actions on per-state environments) against a
-     straightforward BFS written here over [Net.enabled] /
-     [Net.consume] / [Net.produce] / [Expr.run_stmts] — the same
-     numbering, the same states, the same edges, including truncation
-     behaviour at the state cap;
+     predicates/actions on per-state environments) against the
+     interpreted oracle BFS of [Testutil.oracle_build] over
+     [Net.enabled] / [Net.consume] / [Net.produce] /
+     [Expr.run_stmts] — the same numbering, the same states, the same
+     edges, including truncation behaviour at the state cap;
    - the explorer's firing path ([fire_transition], which drives
      [Pnut_sim.Explorer]) on the optimized engine against the frozen
      [Reference] engine;
@@ -149,82 +149,14 @@ let build_net ?(untimed = false) spec =
     spec.sp_trans;
   B.build b
 
-(* -- oracle reachability graph, interpreted end to end --
-
-   Same BFS discipline as [Graph.build] (FIFO interning, ascending
-   transition order, cap drops edges into would-be-fresh states) but
-   every semantic decision goes through the pre-kernel interpreted
-   entry points: [Net.enabled], [Net.consume], [Net.produce],
-   [Expr.run_stmts].  States are keyed structurally on marking,
-   bindings and table contents. *)
-
-type oracle = {
-  o_states : (int array * (string * Value.t) list) array;
-  o_edges : (int * int * int) list;  (* from, transition, to *)
-  o_complete : bool;
-}
-
-let oracle_build ~max_states net =
-  let key m env =
-    ( Marking.to_array m,
-      Env.bindings env,
-      List.map (fun (n, a) -> (n, Array.to_list a)) (Env.tables env) )
-  in
-  let index = Hashtbl.create 256 in
-  let states = ref [] in
-  let n = ref 0 in
-  let truncated = ref false in
-  let edges = ref [] in
-  let queue = Queue.create () in
-  let intern m env =
-    let k = key m env in
-    match Hashtbl.find_opt index k with
-    | Some i -> Some i
-    | None ->
-      if !n >= max_states then begin
-        truncated := true;
-        None
-      end
-      else begin
-        let i = !n in
-        incr n;
-        Hashtbl.replace index k i;
-        states := (Marking.to_array m, Env.bindings env) :: !states;
-        Queue.add (i, m, env) queue;
-        Some i
-      end
-  in
-  let m0 = Net.initial_marking net in
-  let env0 = Net.initial_env net in
-  ignore (intern m0 env0 : int option);
-  while not (Queue.is_empty queue) do
-    let i, m, env = Queue.pop queue in
-    Array.iter
-      (fun tr ->
-        if Net.enabled net m env tr then begin
-          let m' = Marking.copy m in
-          Net.consume net m' tr;
-          Net.produce net m' tr;
-          let env' = Env.copy env in
-          Expr.run_stmts env' tr.Net.t_action;
-          match intern m' env' with
-          | Some j -> edges := (i, tr.Net.t_id, j) :: !edges
-          | None -> ()
-        end)
-      (Net.transitions net)
-  done;
-  { o_states = Array.of_list (List.rev !states);
-    o_edges = List.rev !edges;
-    o_complete = not !truncated }
-
 let prop_graph_matches_oracle =
   QCheck2.Test.make
     ~name:"kernel-based Reach.Graph equals the interpreted oracle BFS"
     ~count:120 gen_spec (fun spec ->
       let net = build_net spec in
       let cap = 400 in
-      let g = Graph.build ~max_states:cap ~jobs:1 net in
-      let o = oracle_build ~max_states:cap net in
+      let g = Graph.build ~max_states:cap net in
+      let o = Testutil.oracle_build ~max_states:cap net in
       Graph.complete g = o.o_complete
       && Graph.num_states g = Array.length o.o_states
       && Array.for_all
@@ -232,22 +164,6 @@ let prop_graph_matches_oracle =
              let om, oe = o.o_states.(s.Graph.s_index) in
              s.Graph.s_marking = om && s.Graph.s_env = oe)
            (Array.init (Graph.num_states g) (Graph.state g))
-      && List.map
-           (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
-           (Graph.edges g)
-         = o.o_edges)
-
-let prop_graph_parallel_matches_oracle =
-  (* the worker-domain expansion path shares parent environments for
-     action-free transitions; numbering must still match the oracle *)
-  QCheck2.Test.make
-    ~name:"parallel Reach.Graph build equals the interpreted oracle BFS"
-    ~count:40 gen_spec (fun spec ->
-      let net = build_net spec in
-      let cap = 400 in
-      let g = Graph.build ~max_states:cap ~jobs:4 net in
-      let o = oracle_build ~max_states:cap net in
-      Graph.num_states g = Array.length o.o_states
       && List.map
            (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
            (Graph.edges g)
@@ -332,7 +248,6 @@ let () =
       ( "layers",
         [
           QCheck_alcotest.to_alcotest prop_graph_matches_oracle;
-          QCheck_alcotest.to_alcotest prop_graph_parallel_matches_oracle;
           QCheck_alcotest.to_alcotest prop_fire_transition_matches_reference;
           QCheck_alcotest.to_alcotest prop_steps_match_reference;
         ] );

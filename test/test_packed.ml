@@ -1,7 +1,7 @@
-(* PR 7: the compact state store.  The packed builder must be
-   invisible: same state numbering, same edge order, same truncation
-   and budget behaviour as the boxed builder, on every class of net the
-   codec handles — variable-free bounded nets (the zero-env fast
+(* The compact state store.  Packing must be invisible: the same state
+   numbering, edge order, truncation and budget behaviour as the boxed
+   interpreted oracle ([Testutil.oracle_build]), on every class of net
+   the codec handles — variable-free bounded nets (the zero-env fast
    path), env-bearing interpreted nets (the side table), nets with
    lying declared capacities and unbounded growth (the checked widen
    path), and frontiers forced through the disk spill. *)
@@ -16,39 +16,6 @@ module Graph = Pnut_reach.Graph
 module Packed = Pnut_reach.Packed
 module Store = Pnut_reach.Store
 module Statekey = Pnut_reach.Statekey
-
-let triples es =
-  List.map
-    (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
-    es
-
-let summary g = Format.asprintf "%a" Graph.pp_summary g
-
-(* Structural equality of two graphs, representation-blind: states with
-   markings and environments, per-state successor and predecessor
-   lists in order, the global edge list, and the printed summary
-   (which additionally exercises deadlocks, safety, reversibility and
-   dead transitions on both representations). *)
-let graphs_equal ga gb =
-  Graph.complete ga = Graph.complete gb
-  && Graph.num_states ga = Graph.num_states gb
-  && Graph.num_edges ga = Graph.num_edges gb
-  && (let n = Graph.num_states ga in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let sa = Graph.state ga i and sb = Graph.state gb i in
-        if sa.Graph.s_marking <> sb.Graph.s_marking then ok := false;
-        if sa.Graph.s_env <> sb.Graph.s_env then ok := false;
-        if triples (Graph.successors ga i) <> triples (Graph.successors gb i)
-        then ok := false;
-        if
-          triples (Graph.predecessors ga i)
-          <> triples (Graph.predecessors gb i)
-        then ok := false
-      done;
-      !ok)
-  && triples (Graph.edges ga) = triples (Graph.edges gb)
-  && String.equal (summary ga) (summary gb)
 
 (* -- fixed nets -- *)
 
@@ -97,20 +64,17 @@ let pump_net () =
       : Net.transition_id);
   B.build b
 
-let both ?max_states ?frontier_spill net =
-  let boxed =
-    Pnut_exec.Supervisor.value (Graph.build_supervised ?max_states net)
-  in
-  let packed =
+(* The packed build and the oracle under the same state cap. *)
+let build_matches_oracle ?(max_states = 100_000) ?frontier_spill net =
+  let g =
     Pnut_exec.Supervisor.value
-      (Graph.build_supervised ?max_states ~packed:true ?frontier_spill net)
+      (Graph.build_supervised ~max_states ?frontier_spill net)
   in
-  (boxed, packed)
+  Testutil.matches_oracle g (Testutil.oracle_build ~max_states net)
 
 let check_identical ?max_states ?frontier_spill net () =
-  let boxed, packed = both ?max_states ?frontier_spill net in
-  Alcotest.(check bool) "packed graph equals boxed graph" true
-    (graphs_equal boxed packed)
+  Alcotest.(check bool) "packed graph equals the oracle's" true
+    (build_matches_oracle ?max_states ?frontier_spill net)
 
 (* -- identity on fixed nets -- *)
 
@@ -133,12 +97,9 @@ let test_lying_capacity_identical () =
     (B.add_transition b "drain" ~inputs:[ (p, 1) ] ~outputs:[ (s, 1) ]
       : Net.transition_id);
   let net = B.build b in
-  let boxed = Graph.build net in
-  let packed = Graph.build ~packed:true net in
   Alcotest.(check int) "sink really exceeds its declared capacity" 5
-    (Graph.bound packed 1);
-  Alcotest.(check bool) "packed graph equals boxed graph" true
-    (graphs_equal boxed packed)
+    (Graph.bound (Graph.build net) 1);
+  check_identical net ()
 
 let test_spill_identical =
   (* threshold 0 forces every full frontier chunk through the temp
@@ -146,27 +107,25 @@ let test_spill_identical =
   check_identical ~frontier_spill:0 (ring ~tokens:6 ())
 
 let test_budget_trip_identical () =
-  (* a tripped state budget degrades both builders at the same point *)
+  (* a tripped state budget degrades the build where the oracle's cap
+     stops *)
   let net = ring ~tokens:6 () in
   let budget = { Pnut_exec.Budget.none with max_states = Some 50 } in
-  let out_boxed = Graph.build_supervised ~budget net in
-  let out_packed = Graph.build_supervised ~budget ~packed:true net in
-  match (out_boxed, out_packed) with
-  | ( Pnut_exec.Supervisor.Degraded { partial = gb; _ },
-      Pnut_exec.Supervisor.Degraded { partial = gp; _ } ) ->
-    Alcotest.(check bool) "partial graphs equal" true (graphs_equal gb gp)
-  | _ -> Alcotest.fail "expected both builds to degrade at the state cap"
+  match Graph.build_supervised ~budget net with
+  | Pnut_exec.Supervisor.Degraded { partial; _ } ->
+    Alcotest.(check bool) "partial graph equals the capped oracle's" true
+      (Testutil.matches_oracle partial
+         (Testutil.oracle_build ~max_states:50 net))
+  | Pnut_exec.Supervisor.Complete _ ->
+    Alcotest.fail "expected the build to degrade at the state cap"
 
 let test_bytes_per_state () =
   (* 17 tokens over 5 ring places: C(21,4) = 5985 states, enough for
      the fixed index floor to amortize below the 32-bytes/state target
      (one arena word per state for this net) *)
   let net = ring ~tokens:17 () in
-  let boxed, packed = both ~max_states:10_000 net in
-  Alcotest.(check bool) "boxed graph reports no packed footprint" true
-    (Graph.packed_bytes_per_state boxed = None);
-  match Graph.packed_bytes_per_state packed with
-  | None -> Alcotest.fail "packed graph must report its footprint"
+  match Graph.packed_bytes_per_state (Graph.build ~max_states:10_000 net) with
+  | None -> Alcotest.fail "the store must report its footprint"
   | Some b ->
     Alcotest.(check bool)
       (Printf.sprintf "bytes/state %.1f within 32" b)
@@ -178,10 +137,11 @@ let test_bounds_known () =
   Alcotest.(check bool) "pump q is unbounded" false
     (Packed.bounds_known (pump_net ()))
 
-(* -- [jobs] leaves the packed build unchanged -- *)
+(* -- [jobs] leaves the build unchanged -- *)
 
-(* The packed untimed sweep is serial at every [jobs] value; these
-   checks pin that the value reaches nothing that changes the store. *)
+(* The sweep is serial; [Graph.build_supervised ?jobs] survives only as
+   a shim for the frozen perfbench harness.  These checks pin that the
+   value reaches nothing that changes the store. *)
 
 (* [places]-place token ring with [tokens] tokens in place 0:
    C(tokens + places - 1, places - 1) reachable states, variable-free,
@@ -204,42 +164,52 @@ let big_ring ~places ~tokens () =
   done;
   B.build b
 
-(* Byte-for-byte equality of the packed stores' physical arrays —
-   stronger than [graphs_equal]: the arena, the open-addressing index
-   and both CSR arrays must be indistinguishable. *)
+let test_ring9_bytes_per_state () =
+  (* the bench's quick reach.packed model: 10 tokens on the 9-place
+     ring, C(18,8) = 43,758 states, packed within 32 bytes/state *)
+  let g = Graph.build ~max_states:2_000_000 (big_ring ~places:9 ~tokens:10 ()) in
+  Alcotest.(check int) "C(18,8) states" 43_758 (Graph.num_states g);
+  Alcotest.(check bool) "complete" true (Graph.complete g);
+  match Graph.packed_bytes_per_state g with
+  | None -> Alcotest.fail "the store must report its footprint"
+  | Some b ->
+    Alcotest.(check bool)
+      (Printf.sprintf "bytes/state %.1f within 32" b)
+      true (b <= 32.0)
+
+(* Byte-for-byte equality of the stores' physical arrays — the arena,
+   the open-addressing index and both CSR arrays. *)
 let arrays_identical ga gb =
   match (Graph.packed_arrays ga, Graph.packed_arrays gb) with
   | Some (a1, i1, o1, d1), Some (a2, i2, o2, d2) ->
     a1 = a2 && i1 = i2 && o1 = o2 && d1 = d2
   | _ -> false
 
-let build_packed_jobs ?frontier_spill ~max_states ~jobs net =
-  Pnut_exec.Supervisor.value
-    (Graph.build_supervised ~max_states ~jobs ~packed:true ?frontier_spill net)
+let build_jobs ~max_states ~jobs net =
+  Pnut_exec.Supervisor.value (Graph.build_supervised ~max_states ~jobs net)
 
-let test_sharded_equals_boxed () =
+(* "boxed" is the boxed interpreted oracle *)
+let test_sharded_equals_oracle () =
   let net = ring ~tokens:6 () in
-  let boxed =
-    Pnut_exec.Supervisor.value (Graph.build_supervised ~max_states:1000 net)
-  in
+  let o = Testutil.oracle_build ~max_states:1000 net in
   List.iter
     (fun jobs ->
-      let packed = build_packed_jobs ~max_states:1000 ~jobs net in
       Alcotest.(check bool)
-        (Printf.sprintf "sharded jobs=%d equals boxed" jobs)
-        true (graphs_equal boxed packed))
+        (Printf.sprintf "jobs=%d equals the oracle" jobs)
+        true
+        (Testutil.matches_oracle (build_jobs ~max_states:1000 ~jobs net) o))
     [ 2; 4 ]
 
 let test_jobs_sweep_identity () =
   (* 9-place ring with 12 tokens: C(20,8) = 125,970 states — past the
      10^5 mark, so the sweep crosses many index and arena growths *)
   let net = big_ring ~places:9 ~tokens:12 () in
-  let base = build_packed_jobs ~max_states:200_000 ~jobs:1 net in
+  let base = build_jobs ~max_states:200_000 ~jobs:1 net in
   Alcotest.(check int) "expected state count" 125_970 (Graph.num_states base);
   Alcotest.(check bool) "complete" true (Graph.complete base);
   List.iter
     (fun jobs ->
-      let g = build_packed_jobs ~max_states:200_000 ~jobs net in
+      let g = build_jobs ~max_states:200_000 ~jobs net in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d arrays byte-identical to serial" jobs)
         true (arrays_identical base g))
@@ -250,7 +220,7 @@ let test_jobs_sweep_capped_identity () =
   let net = big_ring ~places:9 ~tokens:12 () in
   let build jobs =
     match
-      Graph.build_supervised ~max_states:40_000 ~jobs ~packed:true net
+      Graph.build_supervised ~max_states:40_000 ~jobs net
     with
     | Pnut_exec.Supervisor.Degraded { partial; _ } -> partial
     | Pnut_exec.Supervisor.Complete _ ->
@@ -300,9 +270,9 @@ let test_no_spill_file_leak () =
       (* widen mid-sweep (Field_overflow re-encodes the arena) plus cap
          truncation, with every chunk forced through the file *)
       ignore
-        (build_packed_jobs ~frontier_spill:0 ~max_states:400 ~jobs:1
+        (Graph.build_supervised ~frontier_spill:0 ~max_states:400
            (pump_net ())
-          : Graph.t);
+          : Graph.t Pnut_exec.Supervisor.outcome);
       Alcotest.(check (list string))
         "widen + truncation leaves no spill file" [] (spill_files dir);
       (* budget trip mid-drain: a pre-cancelled token fires at the first
@@ -312,7 +282,7 @@ let test_no_spill_file_leak () =
       (match
          Graph.build_supervised
            ~budget:(Pnut_exec.Budget.make ~cancel:tok ())
-           ~packed:true ~frontier_spill:0 ~max_states:10_000
+           ~frontier_spill:0 ~max_states:10_000
            (ring ~tokens:17 ())
        with
       | Pnut_exec.Supervisor.Degraded _ -> ()
@@ -343,28 +313,39 @@ let test_frontier_close_idempotent () =
 (* -- the frontier in isolation -- *)
 
 let test_frontier_fifo_spill () =
-  let f = Store.Frontier.create ~threshold:0 () in
-  Fun.protect
-    ~finally:(fun () -> Store.Frontier.close f)
-    (fun () ->
-      (* interleave pushes and pops the way the BFS does *)
-      let next = ref 0 in
-      for i = 0 to 9999 do
-        Store.Frontier.push f i;
-        if i land 3 = 0 then begin
-          let v = Store.Frontier.pop f in
-          Alcotest.(check int) "fifo order" !next v;
-          incr next
-        end
-      done;
-      Alcotest.(check bool) "threshold 0 spilled chunks to disk" true
-        (Store.Frontier.spilled_chunks f > 0);
-      while not (Store.Frontier.is_empty f) do
-        let v = Store.Frontier.pop f in
-        Alcotest.(check int) "fifo order" !next v;
-        incr next
-      done;
-      Alcotest.(check int) "drained everything" 10000 !next)
+  List.iter
+    (fun threshold ->
+      let f = Store.Frontier.create ~threshold () in
+      Fun.protect
+        ~finally:(fun () -> Store.Frontier.close f)
+        (fun () ->
+          let pushed = ref 0 and next = ref 0 in
+          let push () =
+            Store.Frontier.push f !pushed;
+            incr pushed
+          in
+          let pop () =
+            Alcotest.(check int) "fifo order" !next (Store.Frontier.pop f);
+            incr next
+          in
+          (* a frontier that drains at every pop, as on a small graph *)
+          for _ = 1 to 300 do
+            push ();
+            pop ()
+          done;
+          (* interleave pushes and pops the way the BFS does *)
+          for i = 0 to 9999 do
+            push ();
+            if i land 3 = 0 then pop ()
+          done;
+          if threshold = 0 then
+            Alcotest.(check bool) "threshold 0 spilled chunks to disk" true
+              (Store.Frontier.spilled_chunks f > 0);
+          while not (Store.Frontier.is_empty f) do
+            pop ()
+          done;
+          Alcotest.(check int) "drained everything" 10_300 !next))
+    [ 0; 64 * 1024 * 1024 ]
 
 (* -- side table -- *)
 
@@ -431,8 +412,8 @@ let prop_roundtrip_and_agreement =
       && ((not same_marking)
          || Packed.hash lay buf ~pos:0 = Packed.hash lay buf ~pos:w))
 
-(* -- qcheck: packed builder equals boxed builder on random
-      interpreted nets (variables, tables, predicates, actions) -- *)
+(* -- qcheck: the packed build equals the boxed interpreted oracle on
+      random interpreted nets (variables, tables, predicates, actions) -- *)
 
 type spec = {
   sp_tokens : int list;
@@ -549,27 +530,22 @@ let prop_sharded_equals_serial =
     ~name:"sharded packed builder equals serial on random variable-free nets"
     ~count:60 gen_spec (fun spec ->
       let net = build_varfree_net spec in
-      let serial = build_packed_jobs ~max_states:2000 ~jobs:1 net in
-      let sharded = build_packed_jobs ~max_states:2000 ~jobs:4 net in
-      arrays_identical serial sharded && graphs_equal serial sharded)
+      let serial = build_jobs ~max_states:2000 ~jobs:1 net in
+      let sharded = build_jobs ~max_states:2000 ~jobs:4 net in
+      arrays_identical serial sharded)
 
-let prop_packed_equals_boxed =
+let prop_packed_equals_oracle =
   QCheck2.Test.make
     ~name:"packed builder equals boxed builder on random interpreted nets"
     ~count:120 gen_spec (fun spec ->
-      let net = build_spec_net spec in
-      let cap = 300 in
-      let boxed, packed = both ~max_states:cap net in
-      graphs_equal boxed packed)
+      build_matches_oracle ~max_states:300 (build_spec_net spec))
 
-let prop_packed_spill_equals_boxed =
+let prop_packed_spill_equals_oracle =
   QCheck2.Test.make
     ~name:"forced frontier spill changes nothing"
     ~count:40 gen_spec (fun spec ->
-      let net = build_spec_net spec in
-      let cap = 300 in
-      let boxed, packed = both ~max_states:cap ~frontier_spill:0 net in
-      graphs_equal boxed packed)
+      build_matches_oracle ~max_states:300 ~frontier_spill:0
+        (build_spec_net spec))
 
 let () =
   Alcotest.run "packed"
@@ -586,11 +562,13 @@ let () =
           Alcotest.test_case "budget trip partial" `Quick
             test_budget_trip_identical;
           Alcotest.test_case "bytes per state" `Quick test_bytes_per_state;
+          Alcotest.test_case "ring9 bytes per state" `Quick
+            test_ring9_bytes_per_state;
           Alcotest.test_case "bounds known" `Quick test_bounds_known;
         ] );
       ( "sharded",
         [
-          Alcotest.test_case "equals boxed" `Quick test_sharded_equals_boxed;
+          Alcotest.test_case "equals boxed" `Quick test_sharded_equals_oracle;
           Alcotest.test_case "jobs sweep byte-identity (125k states)" `Slow
             test_jobs_sweep_identity;
           Alcotest.test_case "jobs sweep capped byte-identity" `Slow
@@ -610,8 +588,8 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_and_agreement;
-          QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
-          QCheck_alcotest.to_alcotest prop_packed_spill_equals_boxed;
+          QCheck_alcotest.to_alcotest prop_packed_equals_oracle;
+          QCheck_alcotest.to_alcotest prop_packed_spill_equals_oracle;
           QCheck_alcotest.to_alcotest prop_sharded_equals_serial;
         ] );
     ]

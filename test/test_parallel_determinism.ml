@@ -39,102 +39,47 @@ let interpreted_net () =
   in
   B.build b
 
-let graph_digest g =
-  let states =
-    List.init (Graph.num_states g) (fun i ->
-        let s = Graph.state g i in
-        (s.Graph.s_marking, s.Graph.s_env))
+(* -- reachability: the sweeps are serial --
+
+   Graph and state-class builds take [?jobs] only as a shim for the
+   frozen perfbench harness.  The graphs are checked against the
+   interpreted oracle, and the shim against itself: [jobs] must reach
+   nothing that changes the store. *)
+
+let check_oracle name net =
+  Alcotest.(check bool)
+    (name ^ ": graph equals the interpreted oracle's")
+    true
+    (Testutil.matches_oracle (Graph.build net)
+       (Testutil.oracle_build ~max_states:100_000 net))
+
+let test_graph_pipeline () = check_oracle "pipeline" (pipeline ())
+let test_graph_interpreted () = check_oracle "interpreted" (interpreted_net ())
+
+let check_jobs_shim name net =
+  let build jobs =
+    Pnut_exec.Supervisor.value (Graph.build_supervised ~jobs net)
   in
-  (states, Graph.edges g)
+  Alcotest.(check bool)
+    (name ^ ": jobs=1 and jobs=2 store arrays byte-identical")
+    true
+    (Graph.packed_arrays (build 1) = Graph.packed_arrays (build 2))
 
-let check_graph_parity name net =
-  let serial = Graph.build ~jobs:1 net in
-  List.iter
-    (fun jobs ->
-      let parallel = Graph.build ~jobs net in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d graph identical" name jobs)
-        true
-        (graph_digest serial = graph_digest parallel))
-    [ 2; 4 ]
-
-let test_graph_pipeline () = check_graph_parity "pipeline" (pipeline ())
-let test_graph_interpreted () = check_graph_parity "interpreted" (interpreted_net ())
-
-let check_packed_parity name net =
-  let serial = Graph.build ~jobs:1 ~packed:true net in
-  List.iter
-    (fun jobs ->
-      let parallel = Graph.build ~jobs ~packed:true net in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d packed graph identical" name jobs)
-        true
-        (graph_digest serial = graph_digest parallel
-        && Graph.packed_arrays serial = Graph.packed_arrays parallel))
-    [ 2; 4 ]
-
-(* the packed sweep is serial at every jobs value; the pipeline model
-   is variable-free and the interpreted net carries an environment *)
-let test_packed_pipeline () = check_packed_parity "pipeline" (pipeline ())
+let test_packed_pipeline () = check_jobs_shim "pipeline" (pipeline ())
 
 let test_packed_interpreted () =
-  check_packed_parity "interpreted" (interpreted_net ())
-
-(* a deterministic timed net with real concurrency: two producers with
-   different periods feeding a consumer *)
-let timed_net () =
-  let b = B.create "timed" in
-  let free = B.add_place b "free" ~initial:2 in
-  let full = B.add_place b "full" in
-  let _ =
-    B.add_transition b "fast" ~inputs:[ (free, 1) ] ~outputs:[ (full, 1) ]
-      ~firing:(Net.Const 2.0)
-  in
-  let _ =
-    B.add_transition b "slow" ~inputs:[ (free, 1) ] ~outputs:[ (full, 1) ]
-      ~firing:(Net.Const 3.0)
-  in
-  let _ =
-    B.add_transition b "drain" ~inputs:[ (full, 2) ] ~outputs:[ (free, 2) ]
-      ~enabling:(Net.Const 1.0)
-  in
-  B.build b
-
-let timed_digest g =
-  let states =
-    List.init (Timed.num_states g) (fun i ->
-        let s = Timed.state g i in
-        ( s.Timed.ts_marking, s.Timed.ts_flight, s.Timed.ts_pending,
-          s.Timed.ts_flight_iv, s.Timed.ts_pending_iv, s.Timed.ts_env ))
-  in
-  let edges =
-    List.concat (List.init (Timed.num_states g) (fun i -> Timed.successors g i))
-  in
-  (states, edges)
+  check_jobs_shim "interpreted" (interpreted_net ())
 
 let test_timed_parity () =
-  (* the class sweep is serial at every [jobs]: the packed arenas — not
-     just the decoded views — must be byte-identical for every [jobs],
-     and the boxed build must decode to the same graph *)
-  let serial = Timed.build ~jobs:1 ~packed:true (timed_net ()) in
+  let build jobs =
+    Pnut_exec.Supervisor.value (Timed.build_supervised ~jobs (pipeline ()))
+  in
+  let g1 = build 1 and g2 = build 2 in
   Alcotest.(check bool) "timed class graph non-trivial" true
-    (Timed.num_states serial > 4);
-  let boxed = Timed.build (timed_net ()) in
-  Alcotest.(check bool) "boxed build identical to packed" true
-    (timed_digest serial = timed_digest boxed);
-  List.iter
-    (fun jobs ->
-      let parallel = Timed.build ~jobs ~packed:true (timed_net ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d packed class arrays byte-identical" jobs)
-        true
-        (Timed.packed_arrays serial = Timed.packed_arrays parallel
-        && Timed.domain_arrays serial = Timed.domain_arrays parallel);
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d timed graph identical" jobs)
-        true
-        (timed_digest serial = timed_digest parallel))
-    [ 2; 4 ]
+    (Timed.num_states g1 > 4);
+  Alcotest.(check bool) "jobs=1 and jobs=2 class arrays byte-identical" true
+    (Timed.packed_arrays g1 = Timed.packed_arrays g2
+    && Timed.domain_arrays g1 = Timed.domain_arrays g2)
 
 let test_replicate_parity () =
   let net = pipeline () in

@@ -283,8 +283,9 @@ let test_timed_wall_budget () =
    the frontier each builder reports.  The breadth-first builders
    report 0 at the cap; the Karp-Miller DFS reports its real stack.
    Rows alternate between capping through the budget and through the
-   [max_states] argument (under a generous budget), so both sides of
-   the tightening are exercised. *)
+   [max_states] argument (under a generous budget, or none at all), so
+   both sides of the tightening are exercised.  Every row reports a
+   real elapsed time, budget or not. *)
 
 let capped () = Budget.make ~max_states:40 ()
 
@@ -292,24 +293,23 @@ let state_cap_rows =
   let graph g = (Graph.complete g, Graph.num_states g) in
   let timed g = (Pnut_reach.Timed.complete g, Pnut_reach.Timed.num_states g) in
   [
-    ( "graph boxed", 40, 0,
+    ( "graph budget cap", 40, 0,
       fun () ->
         Supervisor.map graph
           (Graph.build_supervised ~budget:(capped ()) (pump_net ())) );
-    ( "graph packed", 40, 0,
+    ( "graph max_states, no budget", 40, 0,
       fun () ->
-        Supervisor.map graph
-          (Graph.build_supervised ~max_states:40 ~budget:(generous ())
-             ~packed:true (pump_net ())) );
-    ( "timed boxed", 40, 0,
+        Supervisor.map graph (Graph.build_supervised ~max_states:40 (pump_net ()))
+    );
+    ( "timed budget cap", 40, 0,
       fun () ->
         Supervisor.map timed
           (Pnut_reach.Timed.build_supervised ~budget:(capped ()) (pump_net ()))
     );
-    ( "timed packed", 40, 0,
+    ( "timed max_states", 40, 0,
       fun () ->
         Supervisor.map timed
-          (Pnut_reach.Timed.build_supervised ~max_states:40 ~packed:true
+          (Pnut_reach.Timed.build_supervised ~max_states:40
              ~budget:(generous ()) (pump_net ())) );
     ( "timed explicit", 40, 0,
       fun () ->
@@ -339,7 +339,9 @@ let test_state_caps () =
         Alcotest.(check int) (name ^ ": visited") cap progress.Supervisor.visited;
         Alcotest.(check int) (name ^ ": frontier") frontier
           progress.Supervisor.frontier;
-        Alcotest.(check bool) (name ^ ": incomplete") false complete
+        Alcotest.(check bool) (name ^ ": incomplete") false complete;
+        Alcotest.(check bool) (name ^ ": elapsed time recorded") true
+          (progress.Supervisor.elapsed_s > 0.)
       | Supervisor.Degraded { reason; _ } ->
         Alcotest.failf "%s: expected States, got %s" name
           (Supervisor.reason_message reason)
