@@ -53,28 +53,32 @@ let classify net =
 (* -- state space -- *)
 
 type state = {
-  marking : int array;
+  enabled : int list;  (* enabled transitions, ascending *)
   (* outgoing edges: immediate (probability) for vanishing states, timed
      (rate) for tangible ones; targets are state indices *)
   mutable edges : (int * float * int) list;  (* transition id, weight, target *)
   vanishing : bool;
 }
 
-let explore ?(max_states = 2000) ~monitor net kinds =
-  let monitored = Supervisor.active monitor in
-  let max_states = Supervisor.state_cap monitor max_states in
+(* The markings intern into a {!Pnut_reach.Store} on the shared
+   {!Pnut_reach.Bfs} sweep; field widths come from declared capacities
+   alone (unbounded places widen on demand), so no invariant analysis
+   runs first. *)
+let explore ?(max_states = 2000) ~monitor ~spill_threshold net kinds =
   let kernel = Kernel.of_net net in
   let trans = Kernel.transitions kernel in
   let readers = Kernel.readers kernel in
-  let index = Hashtbl.create 512 in
-  let states = ref [] in  (* reversed; index !n - 1 is the head *)
-  let n = ref 0 in
-  let queue = Queue.create () in
-  (* The enabled set (ascending transition ids) is carried along with
-     each queued marking and maintained incrementally: firing [tid]
-     touches only its input/output places, so only the kernel's readers
-     of those places can change enabledness — everything else is
-     inherited from the parent marking without a rescan. *)
+  let bounds = Array.map (fun p -> p.Net.p_capacity) (Net.places net) in
+  let codec = Pnut_reach.Packed.create ~bounds ~with_extra:false net in
+  let store =
+    Pnut_reach.Store.create codec ~num_transitions:(Net.num_transitions net)
+  in
+  let states = Hashtbl.create 512 in  (* index -> state *)
+  (* The enabled set (ascending transition ids) is kept with each state
+     and maintained incrementally: firing [tid] touches only its
+     input/output places, so only the kernel's readers of those places
+     can change enabledness — everything else is inherited from the
+     parent marking without a rescan. *)
   let affected =
     Array.map
       (fun (c : Kernel.ctrans) ->
@@ -103,50 +107,33 @@ let explore ?(max_states = 2000) ~monitor net kinds =
   let is_immediate tid =
     match kinds.(tid) with Immediate _ -> true | Timed _ -> false
   in
-  let intern m enabled =
-    let key = Marking.to_key m in
-    match Hashtbl.find_opt index key with
-    | Some i -> i
-    | None ->
-      if !n >= max_states then
-        raise (Too_many_states { rj_explored = !n; rj_cap = max_states });
+  let intern bfs m enabled =
+    match Pnut_reach.Bfs.intern bfs m ~extra:0 with
+    | `Found i -> i
+    | `Capped ->
+      let cap = Pnut_reach.Bfs.max_states bfs in
+      raise (Too_many_states { rj_explored = cap; rj_cap = cap })
+    | `Added i ->
       let vanishing = List.exists is_immediate enabled in
-      let state =
-        { marking = Marking.to_array m; edges = []; vanishing }
-      in
-      let i = !n in
-      incr n;
-      Hashtbl.replace index key i;
-      states := state :: !states;
-      Queue.add (state, m, enabled) queue;
+      Hashtbl.replace states i { enabled; edges = []; vanishing };
+      Pnut_reach.Bfs.push bfs i;
       i
   in
-  let m0 = Net.initial_marking net in
-  let _ = intern m0 (full_scan m0) in
-  let trip = ref None in
-  let processed = ref 0 in
-  (* Budget checks ride the dequeue boundary every 256 states.  A trip
-     leaves already-interned states with empty edge lists; downstream
-     they behave as absorbing states, which uniformization tolerates. *)
-  (try
-  while not (Queue.is_empty queue) do
-    incr processed;
-    if monitored && !processed land 255 = 0 then begin
-      match Supervisor.check monitor with
-      | Some r ->
-        trip := Some r;
-        raise_notrace Exit
-      | None -> ()
-    end;
-    let state, m, enabled = Queue.pop queue in
+  let parent = Array.make (Net.num_places net) 0 in
+  let seed bfs =
+    let m0 = Net.initial_marking net in
+    ignore (intern bfs (Marking.to_array m0) (full_scan m0) : int)
+  in
+  let expand bfs i =
+    let state = Hashtbl.find states i in
+    Pnut_reach.Store.marking_into store i parent;
     let fire tid =
-      let c = trans.(tid) in
-      let m' = Marking.copy m in
-      Kernel.consume c m';
-      Kernel.produce c m';
-      intern m' (update_enabled enabled tid m')
+      let child = Array.copy parent in
+      let m' = Marking.unsafe_wrap child in
+      Kernel.apply trans.(tid) m';
+      intern bfs child (update_enabled state.enabled tid m')
     in
-    let immediates = List.filter is_immediate enabled in
+    let immediates = List.filter is_immediate state.enabled in
     let edges =
       if immediates <> [] then begin
         let weight tid =
@@ -165,13 +152,18 @@ let explore ?(max_states = 2000) ~monitor net kinds =
             match kinds.(tid) with
             | Timed rate -> Some (tid, rate, fire tid)
             | Immediate _ -> None)
-          enabled
+          state.enabled
     in
     state.edges <- edges
-  done
-  with Exit -> ());
-  (* the list is reversed relative to the indices *)
-  (Array.of_list (List.rev !states), !trip, Queue.length queue)
+  in
+  (* A budget trip leaves already-interned states with empty edge lists;
+     downstream they behave as absorbing states, which uniformization
+     tolerates. *)
+  let run =
+    Pnut_reach.Bfs.run ~monitor ~max_states ~spill_threshold store ~seed
+      ~expand
+  in
+  (store, Array.init run.visited (Hashtbl.find states), run)
 
 (* -- vanishing elimination (Jacobi over absorption vectors) -- *)
 
@@ -234,7 +226,10 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
     ?(max_iterations = 100_000) ?(budget = Budget.none) net =
   let monitor = Supervisor.start budget in
   let kinds = classify net in
-  let states, trip, frontier = explore ~max_states ~monitor net kinds in
+  let store, states, { Pnut_reach.Bfs.stop = trip; frontier; _ } =
+    explore ~max_states ~monitor
+      ~spill_threshold:(Budget.spill_threshold_bytes budget) net kinds
+  in
   let n = Array.length states in
   let n_transitions = Net.num_transitions net in
   (* index tangible states *)
@@ -314,8 +309,9 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
   (* outputs *)
   let np = Net.num_places net in
   let place_means = Array.make np 0.0 in
+  let m = Array.make np 0 in
   for ti = 0 to nt - 1 do
-    let m = states.(tangible_of.(ti)).marking in
+    Pnut_reach.Store.marking_into store tangible_of.(ti) m;
     for p = 0 to np - 1 do
       place_means.(p) <- place_means.(p) +. (pi.(ti) *. float_of_int m.(p))
     done

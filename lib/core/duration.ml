@@ -25,29 +25,38 @@ let deterministic = function
   | Net.Dynamic e when Expr.is_deterministic e -> true
   | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ -> false
 
+let stochastic_parts ?(durations = true) net =
+  let random e = not (Expr.is_deterministic e) in
+  Array.to_list (Net.transitions net)
+  |> List.concat_map (fun tr ->
+         let name = tr.Net.t_name in
+         let dur what d =
+           if durations && not (deterministic d) then [ (what, name) ] else []
+         in
+         let action =
+           List.exists
+             (function
+               | Expr.Assign (_, e) -> random e
+               | Expr.Table_assign (_, i, e) -> random i || random e)
+             tr.Net.t_action
+         in
+         dur "firing time" tr.Net.t_firing
+         @ dur "enabling time" tr.Net.t_enabling
+         @ (match tr.Net.t_predicate with
+           | Some p when random p -> [ ("predicate", name) ]
+           | Some _ | None -> [])
+         @ if action then [ ("action", name) ] else [])
+
+(* One clause per offence; a lone offender reads
+   "who: stochastic firing time on transition t". *)
 let check_net ~who net =
-  Array.iter
-    (fun tr ->
-      let check_dur what d =
-        if not (deterministic d) then
-          invalid_arg
-            (Printf.sprintf "%s: stochastic %s time on transition %s" who what
-               tr.Net.t_name)
-      in
-      check_dur "firing" tr.Net.t_firing;
-      check_dur "enabling" tr.Net.t_enabling;
-      (match tr.Net.t_predicate with
-      | Some p when not (Expr.is_deterministic p) ->
-        invalid_arg (who ^ ": stochastic predicate on transition " ^ tr.Net.t_name)
-      | Some _ | None -> ());
-      if
-        List.exists
-          (fun s ->
-            match s with
-            | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
-            | Expr.Table_assign (_, i, e) ->
-              not (Expr.is_deterministic i && Expr.is_deterministic e))
-          tr.Net.t_action
-      then
-        invalid_arg (who ^ ": stochastic action on transition " ^ tr.Net.t_name))
-    (Net.transitions net)
+  match stochastic_parts net with
+  | [] -> ()
+  | parts ->
+    invalid_arg
+      (who ^ ": "
+      ^ String.concat "; "
+          (List.map
+             (fun (what, name) ->
+               Printf.sprintf "stochastic %s on transition %s" what name)
+             parts))

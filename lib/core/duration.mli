@@ -18,7 +18,13 @@ val deterministic : Net.duration -> bool
     check; [Dynamic] counts as deterministic when its expression
     is). *)
 
+val stochastic_parts : ?durations:bool -> Net.t -> (string * string) list
+(** Every stochastic part as [(kind, transition name)], in net order:
+    ["firing time"], ["enabling time"] (skipped when [durations] is
+    [false]; default [true]), ["predicate"], ["action"]. *)
+
 val check_net : who:string -> Net.t -> unit
-(** Raise [Invalid_argument] (messages prefixed with [who]) if any
-    transition of the net carries a stochastic firing time, enabling
-    time, predicate, or action. *)
+(** Raise [Invalid_argument] (messages prefixed with [who]) naming
+    every stochastic firing time, enabling time, predicate and action
+    of the net, one ["stochastic <kind> on transition <name>"] clause
+    each, joined by ["; "]. *)

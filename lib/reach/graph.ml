@@ -1,7 +1,6 @@
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
 module Env = Pnut_core.Env
-module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module Kernel = Pnut_core.Kernel
 
@@ -62,146 +61,87 @@ let edges g =
 let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 let packed_arrays g = Some (Store.internal_arrays g.store)
 
-let stochastic_parts net =
-  Array.to_list (Net.transitions net)
-  |> List.concat_map (fun tr ->
-         let pred_bad =
-           match tr.Net.t_predicate with
-           | Some p when not (Expr.is_deterministic p) -> [ tr.Net.t_name ]
-           | Some _ | None -> []
-         in
-         let action_bad =
-           if
-             List.exists
-               (fun s ->
-                 match s with
-                 | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
-                 | Expr.Table_assign (_, i, e) ->
-                   not (Expr.is_deterministic i && Expr.is_deterministic e))
-               tr.Net.t_action
-           then [ tr.Net.t_name ]
-           else []
-         in
-         pred_bad @ action_bad)
-
-(* The sweep: a serial FIFO over state indices.  The popped
-   state is decoded into a scratch array once; each enabled transition
-   fires on a second scratch (blit + kernel apply — no per-edge
-   allocation for variable-free nets) and interns straight into the
-   arena.  Pop order is push order is interning order, so begin_source
-   sees ascending sources and the CSR offsets append in one pass. *)
-let sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
-    net kernel =
-  let codec = Packed.create net in
-  let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
-  let np = Net.num_places net in
-  let env0 = Net.initial_env net in
-  let id0 = Packed.intern_extra codec env0 in
-  assert (id0 = 0);
-  let truncated = ref false in
-  let budget_stop = ref None in
-  let frontier_left = ref 0 in
-  let m0 = Marking.to_array (Net.initial_marking net) in
-  (match Store.intern store m0 ~extra:id0 ~max_states with
-  | `Added 0 -> ()
-  | `Added _ | `Found _ | `Capped -> assert false);
-  let parent = Array.make np 0 in
-  let parent_mk = Marking.unsafe_wrap parent in
-  let child = Array.make np 0 in
-  let child_mk = Marking.unsafe_wrap child in
-  let q = Store.Frontier.create ~threshold:spill_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Store.Frontier.close q)
-    (fun () ->
-      Store.Frontier.push q 0;
-      let trans = Kernel.transitions kernel in
-      let sb_scratch = Option.map Stubborn.scratch stubborn in
-      let pops = ref 0 in
-      (* Budget checks ride the dequeue boundary every 256 states, so
-         a budgeted sweep that completes interns exactly the same
-         states in exactly the same order as an unbudgeted one. *)
-      try
-        while not (Store.Frontier.is_empty q) do
-          incr pops;
-          if monitored && !pops land 255 = 0 then begin
-            match Pnut_exec.Supervisor.check monitor with
-            | Some r ->
-              budget_stop := Some r;
-              frontier_left := Store.Frontier.length q;
-              raise_notrace Exit
-            | None -> ()
-          end;
-          let i = Store.Frontier.pop q in
-          Store.begin_source store i;
-          Store.marking_into store i parent;
-          let ex = Store.extra store i in
-          let env = Packed.extra_env codec ex in
-          let fire (c : Kernel.ctrans) =
-            Array.blit parent 0 child 0 np;
-            Kernel.apply c child_mk;
-            let ex' =
-              if c.Kernel.s_has_action then begin
-                let env' = Env.copy env in
-                Kernel.run_action env' c;
-                Packed.intern_extra codec env'
-              end
-              else ex
-            in
-            match Store.intern store child ~extra:ex' ~max_states with
-            | `Capped -> truncated := true
-            | `Found j -> Store.add_edge store ~tid:c.Kernel.s_id ~target:j
-            | `Added j ->
-              Store.add_edge store ~tid:c.Kernel.s_id ~target:j;
-              Store.Frontier.push q j
-          in
-          (match stubborn, sb_scratch with
-          | Some sb, Some sc ->
-            Array.iter
-              (fun tid -> fire trans.(tid))
-              (Stubborn.fired sb sc parent_mk)
-          | _ ->
-            Array.iter
-              (fun (c : Kernel.ctrans) ->
-                if Kernel.enabled c parent_mk env then fire c)
-              trans)
-        done
-      with Exit -> ());
-  Store.finalize store;
-  (store, !truncated, !budget_stop, !frontier_left)
-
 let build_supervised ?(max_states = 100_000) ?jobs
     ?(budget = Pnut_exec.Budget.none) ?packed:_ ?frontier_spill
     ?(por = false) net =
-  (match stochastic_parts net with
+  (match Pnut_core.Duration.stochastic_parts ~durations:false net with
   | [] -> ()
   | bad ->
     invalid_arg
       ("Reach.Graph.build: stochastic predicate/action on transitions: "
-      ^ String.concat ", " (List.sort_uniq String.compare bad)));
+      ^ String.concat ", " (List.sort_uniq String.compare (List.map snd bad))));
   let monitor = Pnut_exec.Supervisor.start budget in
-  let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let kernel = Kernel.of_net net in
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
      pre-check with Stubborn.unsupported. *)
-  let stubborn = if por then Some (Stubborn.create kernel) else None in
+  let stubborn =
+    if por then
+      let sb = Stubborn.create kernel in
+      Some (sb, Stubborn.scratch sb)
+    else None
+  in
   (* Validated (and warned about when oversubscribed), but unused: the
      sweep is serial. *)
   ignore (Pnut_exec.Pool.resolve ?jobs () : int);
+  let codec = Packed.create net in
+  let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
+  let np = Net.num_places net in
+  let parent = Array.make np 0 and child = Array.make np 0 in
+  let parent_mk = Marking.unsafe_wrap parent
+  and child_mk = Marking.unsafe_wrap child in
+  let trans = Kernel.transitions kernel in
+  let seed bfs =
+    let id0 = Packed.intern_extra codec (Net.initial_env net) in
+    match
+      Bfs.intern bfs (Marking.to_array (Net.initial_marking net)) ~extra:id0
+    with
+    | `Added i -> Bfs.push bfs i
+    | `Found _ | `Capped -> assert false
+  in
+  (* The popped state is decoded into a scratch array once; each
+     enabled transition fires on a second scratch (blit + kernel apply —
+     no per-edge allocation for variable-free nets) and interns straight
+     into the arena.  Pop order is interning order, so begin_source sees
+     ascending sources and the CSR offsets append in one pass. *)
+  let expand bfs i =
+    Store.begin_source store i;
+    Store.marking_into store i parent;
+    let ex = Store.extra store i in
+    let env = Packed.extra_env codec ex in
+    let fire (c : Kernel.ctrans) =
+      Array.blit parent 0 child 0 np;
+      Kernel.apply c child_mk;
+      let ex' =
+        if c.Kernel.s_has_action then begin
+          let env' = Env.copy env in
+          Kernel.run_action env' c;
+          Packed.intern_extra codec env'
+        end
+        else ex
+      in
+      match Bfs.intern bfs child ~extra:ex' with
+      | `Capped -> ()
+      | `Found j -> Store.add_edge store ~tid:c.Kernel.s_id ~target:j
+      | `Added j ->
+        Store.add_edge store ~tid:c.Kernel.s_id ~target:j;
+        Bfs.push bfs j
+    in
+    match stubborn with
+    | Some (sb, sc) ->
+      Array.iter (fun tid -> fire trans.(tid)) (Stubborn.fired sb sc parent_mk)
+    | None ->
+      Array.iter
+        (fun (c : Kernel.ctrans) -> if Kernel.enabled c parent_mk env then fire c)
+        trans
+  in
   let spill_threshold =
-    match frontier_spill with
-    | Some b -> b
-    | None -> Pnut_exec.Budget.spill_threshold_bytes budget
+    Option.value frontier_spill
+      ~default:(Pnut_exec.Budget.spill_threshold_bytes budget)
   in
-  let store, truncated, budget_stop, frontier_left =
-    sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
-      kernel
-  in
-  let complete = (not truncated) && budget_stop = None in
-  Pnut_exec.Supervisor.verdict monitor ~stop:budget_stop ~capped:truncated
-    ~visited:(Store.num_states store) ~frontier:frontier_left
-    { net; store; complete }
+  let run = Bfs.run ~monitor ~max_states ~spill_threshold store ~seed ~expand in
+  Store.finalize store;
+  Bfs.verdict monitor run { net; store; complete = Bfs.complete run }
 
 let build ?max_states ?por net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states ?por net)
@@ -233,22 +173,8 @@ let find_state g marking =
     go 0
   end
 
-let deadlocks g =
-  let acc = ref [] in
-  for i = num_states g - 1 downto 0 do
-    if Store.out_degree g.store i = 0 then acc := i :: !acc
-  done;
-  !acc
-
-let bound g p =
-  let st = g.store in
-  let scratch = Array.make (Net.num_places g.net) 0 in
-  let acc = ref 0 in
-  for i = 0 to Store.num_states st - 1 do
-    Store.marking_into st i scratch;
-    if scratch.(p) > !acc then acc := scratch.(p)
-  done;
-  !acc
+let deadlocks g = Store.deadlocks g.store
+let bound g p = Store.max_tokens g.store p
 
 let is_safe g =
   let st = g.store in

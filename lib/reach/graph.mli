@@ -32,8 +32,8 @@ val build :
 (** Default cap: 100_000 states.  Raises [Invalid_argument] if the net
     has stochastic predicates or actions.
 
-    The sweep is a serial FIFO into the {!Store} compact arena: states
-    are bit-packed (fields sized from
+    The expander runs on the {!Bfs} sweep into the {!Store} compact
+    arena: states are bit-packed (fields sized from
     {!Pnut_core.Incidence.place_bounds} with a checked widen path, so
     unbounded nets pack too) and edges CSR-encoded.
 

@@ -266,6 +266,10 @@ let ensure_arena st =
 let rec intern st marking ~extra ~max_states =
   let lay = Packed.layout st.codec in
   match Packed.encode lay st.key_buf ~pos:0 marking ~extra with
+  | exception Packed.Field_overflow _ when st.n >= max_states ->
+    (* every stored state fits the layout, so this one is fresh: at the
+       cap there is nothing to widen for *)
+    `Capped
   | exception Packed.Field_overflow { field; value } ->
     widen st ~field ~value;
     intern st marking ~extra ~max_states
@@ -333,6 +337,15 @@ let add_edge st ~tid ~target =
   st.succ_dat.(st.n_edges) <- (target lsl st.t_bits) lor tid;
   st.n_edges <- st.n_edges + 1
 
+let reserve_edges st n =
+  let dat = Array.make (max n st.n_edges) 0 and off = Array.make (st.n + 1) 0 in
+  Array.blit st.succ_dat 0 dat 0 st.n_edges;
+  Array.blit st.succ_off 0 off 0 (st.last_src + 1);
+  st.succ_dat <- dat;
+  st.succ_off <- off
+
+let trim a n = if Array.length a = n then a else Array.sub a 0 n
+
 let finalize st =
   if not st.finalized then begin
     ensure_succ_off st st.n;
@@ -340,8 +353,8 @@ let finalize st =
       st.succ_off.(j) <- st.n_edges
     done;
     st.last_src <- st.n;
-    st.succ_off <- Array.sub st.succ_off 0 (st.n + 1);
-    st.succ_dat <- Array.sub st.succ_dat 0 st.n_edges;
+    st.succ_off <- trim st.succ_off (st.n + 1);
+    st.succ_dat <- trim st.succ_dat st.n_edges;
     if st.n * st.words < Array.length st.arena then begin
       st.arena <- Array.sub st.arena 0 (st.n * st.words);
       st.cap_states <- st.n
@@ -412,6 +425,21 @@ let iter_pred_sources st j f =
   for k = st.pred_off.(j) to st.pred_off.(j + 1) - 1 do
     f (st.pred_dat.(k) lsr st.t_bits)
   done
+
+let deadlocks st =
+  let acc = ref [] in
+  for i = st.n - 1 downto 0 do
+    if out_degree st i = 0 then acc := i :: !acc
+  done;
+  !acc
+
+let max_tokens st p =
+  let m = Array.make st.np 0 and best = ref 0 in
+  for i = 0 to st.n - 1 do
+    marking_into st i m;
+    best := Int.max !best m.(p)
+  done;
+  !best
 
 let store_words st = (Array.length st.arena, Array.length st.index)
 

@@ -25,7 +25,9 @@ val intern :
     table id.  [`Capped] means the state is fresh but the store already
     holds [max_states] states; nothing is inserted.  On a
     {!Packed.Field_overflow} the codec is widened and the whole arena
-    re-encoded transparently, then the intern retries. *)
+    re-encoded transparently, then the intern retries — unless the
+    store is full, where a state that does not fit is [`Capped]
+    without widening. *)
 
 val marking_into : t -> int -> int array -> unit
 (** Decode state [i]'s token counts into a caller scratch array. *)
@@ -37,12 +39,17 @@ val extra : t -> int -> int
 
     The builder calls [begin_source i] before expanding state [i] (in
     ascending order — BFS interning order), then [add_edge] once per
-    fired transition, and [finalize] after the sweep.  Skipped sources
-    simply get empty ranges. *)
+    fired transition, and [finalize] after the sweep; {!Timed}, whose
+    classes collect edges from vectors expanded out of order, writes
+    its CSR this way after the sweep.  Skipped sources simply get empty
+    ranges. *)
 
 val begin_source : t -> int -> unit
 val add_edge : t -> tid:int -> target:int -> unit
 val finalize : t -> unit
+
+val reserve_edges : t -> int -> unit
+(** Size the CSR exactly for [n] edges over the states so far. *)
 
 val out_degree : t -> int -> int
 
@@ -57,6 +64,12 @@ val iter_pred_sources : t -> int -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges st f] calls [f source transition target] for every edge
     in ascending-source sweep order. *)
+
+val deadlocks : t -> int list
+(** States without an outgoing edge, ascending. *)
+
+val max_tokens : t -> int -> int
+(** The largest count of place [p] over the stored states. *)
 
 val store_words : t -> int * int
 (** [(arena words, index slots)] currently allocated. *)

@@ -21,8 +21,8 @@
      a [Fire] or a [Complete].
    - The pending (enabling) timer support is a function of (marking,
      env) — the refresh rule keeps exactly the enabled transitions — so
-     class identity only needs the in-flight multiset on top of the
-     {!Statekey}; all vectors of a class agree on both supports and
+     class identity only needs the in-flight multiset on top of
+     (marking, env); all vectors of a class agree on both supports and
      differ only in residual values.
    - Reachable (marking, env) pairs, the deadlock set and per-place
      bounds all coincide with the explicit expansion's (a class is dead
@@ -32,16 +32,14 @@
      search over normalized vectors where the edge weight is the
      normalization shift.
 
-   The construction is layered onto the one graph stack: classes intern
-   via {!Statekey}, pack into the {!Store} arena (marking fields plus
-   the interned (env, in-flight) domain in the extra-id field) and run
-   under {!Pnut_exec.Supervisor} budgets.  The sweep is one serial FIFO
-   over residual vectors (a hash-sharded sweep measured no faster than
-   it at two domains; see docs/PERFORMANCE.md).  Inside
-   a class, vectors dedup on {!vec_key}, which matches the ["%.9g"]
-   rendering of every residual without formatting the integral ones.
-   {!Timed_explicit} keeps the old semantics frozen as the differential
-   oracle. *)
+   The construction is an expander on the one {!Bfs} sweep: a class is
+   interned into the {!Store} arena the moment it is found (marking
+   fields, plus the interned (env, in-flight multiset) as its extra
+   id), the frontier queues residual-vector ids and spills like
+   {!Graph}'s, and budgets are polled on its dequeue cadence.  Vectors
+   dedup on {!vec_key}, which matches the ["%.9g"] rendering of every
+   residual without formatting the integral ones.  {!Timed_explicit}
+   keeps the old semantics frozen as the differential oracle. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -79,7 +77,7 @@ type t = {
   store : Store.t;
   complete : bool;
   n_vectors : int;  (* residual vectors explored to close the classes *)
-  sup_off : int array;  (* class -> start into sup/iv; length n+1 *)
+  sup_off : int array;  (* class -> start into sup/iv; at least n+1 long *)
   sup : int array;  (* 2*tid = in-flight slot, 2*tid+1 = pending slot *)
   iv_lo : float array;
   iv_hi : float array;
@@ -95,33 +93,31 @@ let num_states g = Store.num_states g.store
    even codes fire, odd codes complete. *)
 let label_of_code c = if c land 1 = 0 then Fire (c asr 1) else Complete (c asr 1)
 
+(* A class's timers from its support tags and one value per slot: the
+   in-flight ones, then the pending ones, each in slot order. *)
+let split_slots tags values =
+  let slots = List.init (Array.length tags) (fun k -> (tags.(k), values.(k))) in
+  let flight, pending = List.partition (fun (s, _) -> s land 1 = 0) slots in
+  let untag = List.map (fun (s, x) -> (s asr 1, x)) in
+  (untag flight, untag pending)
+
 let state g i =
   let st = g.store in
   let codec = Store.codec st in
   let marking = Array.make (Packed.places (Packed.layout codec)) 0 in
   Store.marking_into st i marking;
-  let lo = g.sup_off.(i) and hi = g.sup_off.(i + 1) in
-  let flight = ref [] and pending = ref [] in
-  let flight_iv = ref [] and pending_iv = ref [] in
-  for k = hi - 1 downto lo do
-    let s = g.sup.(k) in
-    let iv = (g.iv_lo.(k), g.iv_hi.(k)) in
-    if s land 1 = 0 then begin
-      flight := (s asr 1) :: !flight;
-      flight_iv := iv :: !flight_iv
-    end
-    else begin
-      pending := (s asr 1) :: !pending;
-      pending_iv := iv :: !pending_iv
-    end
-  done;
+  let base = g.sup_off.(i) and n = g.sup_off.(i + 1) - g.sup_off.(i) in
+  let flight, pending =
+    split_slots (Array.sub g.sup base n)
+      (Array.init n (fun k -> (g.iv_lo.(base + k), g.iv_hi.(base + k))))
+  in
   {
     ts_index = i;
     ts_marking = marking;
-    ts_flight = !flight;
-    ts_pending = !pending;
-    ts_flight_iv = !flight_iv;
-    ts_pending_iv = !pending_iv;
+    ts_flight = List.map fst flight;
+    ts_pending = List.map fst pending;
+    ts_flight_iv = List.map snd flight;
+    ts_pending_iv = List.map snd pending;
     ts_env = Packed.extra_bindings codec (Store.extra st i);
   }
 
@@ -140,7 +136,11 @@ let predecessors g j =
 let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 let packed_arrays g = Some (Store.internal_arrays g.store)
 
-let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
+let domain_arrays g =
+  let n = num_states g in
+  let m = g.sup_off.(n) in
+  ( Array.sub g.sup_off 0 (n + 1), Array.sub g.sup 0 m, Array.sub g.iv_lo 0 m,
+    Array.sub g.iv_hi 0 m )
 
 (* -- shared timed-semantics helpers (Razouk's two-phase rule) -- *)
 
@@ -187,15 +187,7 @@ let clocks_repr in_flight pending =
     pending;
   Buffer.contents buf
 
-let add_varint buf n =
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
-      go (n lsr 7)
-    end
-  in
-  go n
+let add_varint = Pnut_trace.Binary.add_varint
 
 (* ["0"] or digits without a leading zero: the only renderings that are
    the decimal digits of a non-negative integer. *)
@@ -206,18 +198,21 @@ let canonical_int s =
   then None
   else Some (int_of_string s)
 
-(* The per-class vector-dedup key: two vectors of one class get equal
-   keys exactly when their {!clocks_repr} strings are equal.  Inside a
+(* The vector-dedup key of a vector of class [c]: two vectors get equal
+   keys exactly when they share a class and their {!clocks_repr}
+   strings are equal.  The key opens with [c] as a varint.  Inside a
    class the timer tids are fixed — the in-flight multiset is part of
    the class and the pending support follows from (marking, env) — so
    only the residuals are keyed, as NUL-tagged varints of the integers
    their ["%.9g"] renderings spell.  An integral residual in [0, 1e9)
    other than -0.0 renders as its own digits, so it is never formatted.
-   When some rendering is not a canonical integer, the key is the whole
-   {!clocks_repr} text, which holds no NUL and so never equals a varint
-   key.  [buf] is scratch owned by the caller. *)
-let vec_key buf flight pending =
+   When some rendering is not a canonical integer, the class varint is
+   followed by the whole {!clocks_repr} text, which holds no NUL and so
+   never equals a varint key.  [buf] is scratch owned by the caller. *)
+let vec_key buf c flight pending =
   Buffer.clear buf;
+  add_varint buf c;
+  let cut = Buffer.length buf in
   Buffer.add_char buf '\000';
   let add (_, r) =
     if Float.is_integer r && r < 1e9 && not (Float.sign_bit r) then
@@ -227,12 +222,13 @@ let vec_key buf flight pending =
       | Some n -> add_varint buf n
       | None -> raise_notrace Exit
   in
-  match
-    List.iter add flight;
-    List.iter add pending
-  with
-  | () -> Buffer.contents buf
-  | exception Exit -> clocks_repr flight pending
+  (try
+     List.iter add flight;
+     List.iter add pending
+   with Exit ->
+     Buffer.truncate buf cut;
+     Buffer.add_string buf (clocks_repr flight pending));
+  Buffer.contents buf
 
 (* Canonical rendering of the in-flight transition multiset (sorted) —
    the clock component of class identity, and the [clocks] string under
@@ -370,244 +366,150 @@ let initial_vector kernel net =
   let flight0, pending0, shift0 = normalize [] pending0 in
   (m0, flight0, pending0, env0, shift0)
 
-(* Widen a class's per-slot interval envelope with one more residual
-   vector (flight slots first, then pending). *)
-let widen_ranges lo hi flight pending =
-  let nf = List.length flight in
-  List.iteri
-    (fun k (_, r) ->
-      if r < lo.(k) then lo.(k) <- r;
-      if r > hi.(k) then hi.(k) <- r)
-    flight;
-  List.iteri
-    (fun k (_, r) ->
-      if r < lo.(nf + k) then lo.(nf + k) <- r;
-      if r > hi.(nf + k) then hi.(nf + k) <- r)
-    pending
+(* -- the class sweep: an expander on {!Bfs}.  A class interns into the
+      store when it is first reached, with its (env, in-flight multiset)
+      as the extra id; its timer support, interval envelope and edges
+      go to side arrays indexed by class.  The frontier queues
+      residual-vector ids. -- *)
 
-(* -- class records; [cl_edges] is in reverse emission order -- *)
-
-type cls = {
-  cl_index : int;
-  cl_marking : int array;
-  cl_env : Env.t;
-  cl_flight : int list;  (* in-flight tid multiset, sorted *)
-  cl_pending : int list;  (* enabled tids, sorted *)
-  cl_flight_repr : string;
-  cl_lo : float array;  (* per timer slot: flight entries, then pending *)
-  cl_hi : float array;
-  mutable cl_edges : (int * int) list;  (* (code, target class) *)
-  cl_eseen : (int * int, unit) Hashtbl.t;
-  cl_vecs : (string, unit) Hashtbl.t;  (* {!vec_key}s of its vectors *)
-}
-
-let fresh_cls ~index ~key ~env ~flight ~pending ~frepr =
-  let n = List.length flight + List.length pending in
-  {
-    cl_index = index;
-    cl_marking = key.Statekey.k_marking;
-    cl_env = env;
-    cl_flight = List.map fst flight;
-    cl_pending = List.map fst pending;
-    cl_flight_repr = frepr;
-    cl_lo = Array.make n infinity;
-    cl_hi = Array.make n neg_infinity;
-    cl_edges = [];
-    cl_eseen = Hashtbl.create 8;
-    cl_vecs = Hashtbl.create 8;
-  }
-
-let add_class_edge cl code target =
-  if not (Hashtbl.mem cl.cl_eseen (code, target)) then begin
-    Hashtbl.add cl.cl_eseen (code, target) ();
-    cl.cl_edges <- (code, target) :: cl.cl_edges
+(* [a] with room for index [i], new slots set to [fill] *)
+let ensure a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (Array.length a * 3 / 2)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   end
 
-(* -- serial class fixpoint: a FIFO over residual vectors; classes
-      intern via Statekey, vectors dedup per class by {!vec_key} -- *)
+(* The queued vectors wait on a flat tape, in the order the frontier
+   pops their ids: each one's class id (exact as a float), then its
+   residuals.  The live part slides down over the drained prefix before
+   the tape grows. *)
+type tape = { mutable buf : float array; mutable head : int; mutable tail : int }
 
-let build_serial ~max_states ~monitor ~monitored kernel net =
-  let index : cls Statekey.Tbl.t = Statekey.Tbl.create 1024 in
-  let classes_rev = ref [] in
-  let n_classes = ref 0 in
-  let n_vectors = ref 0 in
-  let truncated = ref false in
-  let budget_stop = ref None in
-  let frontier_left = ref 0 in
-  let q = Queue.create () in
-  let vbuf = Buffer.create 64 in
-  (* Intern one normalized vector: find or create its class, then dedup
-     the vector inside it.  [None] means the class would be fresh
-     beyond the cap — the edge is dropped and the graph flagged
-     incomplete, exactly like {!Graph}'s builders (edges into existing
-     classes are still recorded at the cap). *)
-  let intern_vec marking flight pending env =
-    let frepr = flight_repr flight in
-    let key = Statekey.make ~clocks:frepr marking env in
-    let cl =
-      match Statekey.Tbl.find_opt index key with
-      | Some cl -> Some cl
-      | None ->
-        if !n_classes >= max_states then begin
-          truncated := true;
-          None
-        end
-        else begin
-          let cl =
-            fresh_cls ~index:!n_classes ~key ~env ~flight ~pending ~frepr
-          in
-          incr n_classes;
-          Statekey.Tbl.replace index key cl;
-          classes_rev := cl :: !classes_rev;
-          Some cl
-        end
-    in
-    match cl with
-    | None -> None
-    | Some cl ->
-      let vkey = vec_key vbuf flight pending in
-      if not (Hashtbl.mem cl.cl_vecs vkey) then begin
-        Hashtbl.add cl.cl_vecs vkey ();
-        incr n_vectors;
-        widen_ranges cl.cl_lo cl.cl_hi flight pending;
-        Queue.add (cl, marking, flight, pending, env) q
-      end;
-      Some cl
-  in
-  let m0, flight0, pending0, env0, _ = initial_vector kernel net in
-  (match intern_vec m0 flight0 pending0 env0 with
-  | Some cl -> assert (cl.cl_index = 0)
-  | None -> assert false);
-  let pops = ref 0 in
-  (* Budget checks ride the dequeue boundary every 256 vectors — the
-     cadence of every other builder in the stack. *)
-  (try
-     while not (Queue.is_empty q) do
-       incr pops;
-       if monitored && !pops land 255 = 0 then begin
-         match Pnut_exec.Supervisor.check monitor with
-         | Some r ->
-           budget_stop := Some r;
-           frontier_left := Queue.length q;
-           raise_notrace Exit
-         | None -> ()
-       end;
-       let cl, marking, flight, pending, env = Queue.pop q in
-       List.iter
-         (fun c ->
-           match intern_vec c.c_marking c.c_flight c.c_pending c.c_env with
-           | None -> ()
-           | Some cl' -> add_class_edge cl c.c_code cl'.cl_index)
-         (successors_of kernel (marking, flight, pending, env))
-     done
-   with Exit -> ());
-  let classes = Array.make !n_classes None in
-  List.iter (fun cl -> classes.(cl.cl_index) <- Some cl) !classes_rev;
-  let classes = Array.map Option.get classes in
-  (classes, !n_vectors, !truncated, !budget_stop, !frontier_left)
+let tape_add q x =
+  if q.tail = Array.length q.buf && 2 * q.head >= q.tail then begin
+    Array.blit q.buf q.head q.buf 0 (q.tail - q.head);
+    q.tail <- q.tail - q.head;
+    q.head <- 0
+  end;
+  q.buf <- ensure q.buf q.tail 0.0;
+  q.buf.(q.tail) <- x;
+  q.tail <- q.tail + 1
 
-(* -- final assembly: the one place classes are packed.  Classes are
-      appended in discovery order and their (env, in-flight domain)
-      snapshots are interned in class order, so the arena, index, CSR
-      and side-table contents depend only on the class list. -- *)
-
-let assemble_store net classes =
-  let codec = Packed.create ~with_extra:true net in
-  let nt = max 1 (Net.num_transitions net) in
-  let store = Store.create codec ~num_transitions:(2 * nt) in
-  Array.iter
-    (fun cl ->
-      let ex = Packed.intern_extra codec ~clocks:cl.cl_flight_repr cl.cl_env in
-      match Store.intern store cl.cl_marking ~extra:ex ~max_states:max_int with
-      | `Added _ -> ()
-      | `Found _ | `Capped ->
-        (* class identity is exactly (marking, env, in-flight domain) =
-           (marking fields, extra id) — duplicates are impossible *)
-        assert false)
-    classes;
-  Array.iteri
-    (fun i cl ->
-      Store.begin_source store i;
-      List.iter
-        (fun (code, j) -> Store.add_edge store ~tid:code ~target:j)
-        (List.rev cl.cl_edges))
-    classes;
-  Store.finalize store;
-  store
-
-let assemble_domains classes =
-  let n = Array.length classes in
-  let sup_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    sup_off.(i + 1) <-
-      sup_off.(i)
-      + List.length classes.(i).cl_flight
-      + List.length classes.(i).cl_pending
-  done;
-  let m = sup_off.(n) in
-  let sup = Array.make m 0 in
-  let lo = Array.make m 0.0 in
-  let hi = Array.make m 0.0 in
-  Array.iteri
-    (fun i cl ->
-      let base = sup_off.(i) in
-      let k = ref 0 in
-      List.iter
-        (fun t ->
-          sup.(base + !k) <- 2 * t;
-          lo.(base + !k) <- cl.cl_lo.(!k);
-          hi.(base + !k) <- cl.cl_hi.(!k);
-          incr k)
-        cl.cl_flight;
-      List.iter
-        (fun t ->
-          sup.(base + !k) <- (2 * t) + 1;
-          lo.(base + !k) <- cl.cl_lo.(!k);
-          hi.(base + !k) <- cl.cl_hi.(!k);
-          incr k)
-        cl.cl_pending)
-    classes;
-  (sup_off, sup, lo, hi)
+let tape_take q =
+  q.head <- q.head + 1;
+  q.buf.(q.head - 1)
 
 let build_supervised ?(max_states = 50_000) ?jobs ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
-  let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in
   let kernel = Kernel.of_net net in
   (* Validated (and warned about when oversubscribed), but unused: the
      sweep is serial. *)
   ignore (Pnut_exec.Pool.resolve ?jobs () : int);
-  let classes, n_vectors, truncated, budget_stop, frontier_left =
-    build_serial ~max_states ~monitor ~monitored kernel net
+  let spill_threshold = Pnut_exec.Budget.spill_threshold_bytes budget in
+  let codec = Packed.create ~with_extra:true net in
+  let ncodes = 2 * max 1 (Net.num_transitions net) in
+  let store = Store.create codec ~num_transitions:ncodes in
+  let key = Array.make (Net.num_places net) 0 in
+  (* per class [c]: timer slots [sup_off.(c)] .. [sup_off.(c+1) - 1] of
+     [sup]/[lo]/[hi], and its distinct edges, newest first, each coded
+     [target * ncodes + label code] *)
+  let sup_off = ref [| 0 |] and sup = ref [||] in
+  let lo = ref [||] and hi = ref [||] in
+  let edges = ref [||] and n_edges = ref 0 in
+  let tape = { buf = [||]; head = 0; tail = 0 } and n_vectors = ref 0 in
+  let vecs = Hashtbl.create 1024 and vbuf = Buffer.create 64 in
+  (* a vector new to class [c] widens its envelope and is queued *)
+  let add_vector bfs c flight pending timers =
+    let vk = vec_key vbuf c flight pending in
+    if not (Hashtbl.mem vecs vk) then begin
+      Hashtbl.add vecs vk ();
+      tape_add tape (float_of_int c);
+      List.iteri
+        (fun k (_, r) ->
+          let i = !sup_off.(c) + k in
+          if r < !lo.(i) then !lo.(i) <- r;
+          if r > !hi.(i) then !hi.(i) <- r;
+          tape_add tape r)
+        timers;
+      Bfs.push bfs !n_vectors;
+      incr n_vectors
+    end;
+    Some c
   in
-  let store = assemble_store net classes in
-  let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
-  let complete = (not truncated) && budget_stop = None in
-  Pnut_exec.Supervisor.verdict monitor ~stop:budget_stop ~capped:truncated
-    ~visited:(Array.length classes) ~frontier:frontier_left
-    { net; store; complete; n_vectors; sup_off; sup; iv_lo; iv_hi }
+  (* The class of one normalized vector.  [None] when the class would be
+     fresh beyond the cap — the edge is dropped and the graph flagged
+     incomplete, exactly like {!Graph} (edges into existing classes are
+     still recorded at the cap). *)
+  let intern_vector bfs marking flight pending env =
+    let extra = Packed.intern_extra codec ~clocks:(flight_repr flight) env in
+    Array.iteri (fun p _ -> key.(p) <- Marking.get marking p) key;
+    let timers = flight @ pending in
+    match Bfs.intern bfs key ~extra with
+    | `Capped -> None
+    | `Found c -> add_vector bfs c flight pending timers
+    | `Added c ->
+      let base = !sup_off.(c) and nf = List.length flight in
+      let n = base + List.length timers in
+      sup_off := ensure !sup_off (c + 1) 0;
+      !sup_off.(c + 1) <- n;
+      sup := ensure !sup n 0;
+      List.iteri
+        (fun k (t, _) -> !sup.(base + k) <- (2 * t) + if k < nf then 0 else 1)
+        timers;
+      lo := ensure !lo n infinity;
+      hi := ensure !hi n neg_infinity;
+      edges := ensure !edges c [];
+      add_vector bfs c flight pending timers
+  in
+  let seed bfs =
+    let m0, flight0, pending0, env0, _ = initial_vector kernel net in
+    ignore (intern_vector bfs m0 flight0 pending0 env0 : int option)
+  in
+  let scratch = Array.copy key in
+  let expand bfs _vector =
+    let c = int_of_float (tape_take tape) in
+    let base = !sup_off.(c) in
+    let res = Array.init (!sup_off.(c + 1) - base) (fun _ -> tape_take tape) in
+    let flight, pending = split_slots (Array.sub !sup base (Array.length res)) res in
+    Store.marking_into store c scratch;
+    let env = Packed.extra_env codec (Store.extra store c) in
+    List.iter
+      (fun cand ->
+        match
+          intern_vector bfs cand.c_marking cand.c_flight cand.c_pending
+            cand.c_env
+        with
+        | None -> ()
+        | Some c' ->
+          let e = (c' * ncodes) + cand.c_code in
+          if not (List.memq e !edges.(c)) then begin
+            !edges.(c) <- e :: !edges.(c);
+            incr n_edges
+          end)
+      (successors_of kernel (Marking.unsafe_wrap scratch, flight, pending, env))
+  in
+  let run = Bfs.run ~monitor ~max_states ~spill_threshold store ~seed ~expand in
+  Store.reserve_edges store !n_edges;
+  for c = 0 to Store.num_states store - 1 do
+    Store.begin_source store c;
+    List.iter
+      (fun e -> Store.add_edge store ~tid:(e mod ncodes) ~target:(e / ncodes))
+      (List.rev !edges.(c))
+  done;
+  Store.finalize store;
+  Bfs.verdict monitor run
+    { net; store; complete = Bfs.complete run; n_vectors = !n_vectors;
+      sup_off = !sup_off; sup = !sup; iv_lo = !lo; iv_hi = !hi }
 
 let build ?max_states net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states net)
 
-let deadlocks g =
-  let acc = ref [] in
-  for i = num_states g - 1 downto 0 do
-    if Store.out_degree g.store i = 0 then acc := i :: !acc
-  done;
-  !acc
-
-let max_tokens g p =
-  let st = g.store in
-  let scratch = Array.make (Net.num_places g.net) 0 in
-  let acc = ref 0 in
-  for i = 0 to Store.num_states st - 1 do
-    Store.marking_into st i scratch;
-    if scratch.(p) > !acc then acc := scratch.(p)
-  done;
-  !acc
+let deadlocks g = Store.deadlocks g.store
+let max_tokens g p = Store.max_tokens g.store p
 
 (* Earliest time before [tid] first starts firing: a uniform-cost
    search over normalized vectors where an edge costs its normalization

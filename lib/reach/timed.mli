@@ -18,10 +18,10 @@
     with a dedicated search over the vector space, and time-bounded
     ([horizon]) exploration remains on the oracle only.
 
-    The construction is unified onto the packed/supervised graph
-    stack: classes encode into the {!Store} arena (marking fields plus
-    the interned (env, in-flight domain) in the extra-id field), and
-    the class sweep is serial.
+    The construction runs on the {!Bfs} sweep: each class is interned
+    into the {!Store} arena when found (marking fields plus the
+    interned (env, in-flight multiset) as extra id), and the frontier
+    of residual vectors spills like {!Graph}'s.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -63,7 +63,8 @@ type t
 val build : ?max_states:int -> Pnut_core.Net.t -> t
 (** Build the state-class graph into a bit-packed {!Store} arena;
     [max_states] (a cap on {e classes}) defaults to 50_000.  Raises
-    [Invalid_argument] on stochastic delays, predicates or actions. *)
+    [Invalid_argument] naming every stochastic delay, predicate or
+    action. *)
 
 val build_supervised :
   ?max_states:int ->
@@ -75,8 +76,11 @@ val build_supervised :
 (** {!build} under a budget, polled on the vector-dequeue boundary;
     [budget.max_states] tightens [max_states].  A tripped limit —
     including the class cap — yields [Degraded] with the partial graph
-    (a valid prefix of classes) and visited/frontier counts; a budgeted
-    build that completes returns a graph identical to {!build}'s.
+    (a valid prefix of classes) and visited/frontier counts, the
+    frontier in residual vectors; a budgeted build that completes
+    returns a graph identical to {!build}'s.  The frontier spills to a
+    temp file past {!Pnut_exec.Budget.spill_threshold_bytes} of
+    [budget].
 
     [jobs] is validated by {!Pnut_exec.Pool.resolve} and otherwise
     ignored; [packed] is ignored.  Both are shims for the frozen

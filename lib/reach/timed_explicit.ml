@@ -4,7 +4,9 @@
    self-contained: it keeps private copies of the duration resolution,
    the pending-refresh rule and the canonical clock rendering, so a bug
    (or a "fix") in the class builder can never silently rewrite the
-   reference semantics it is tested against.  Serial FIFO only; the
+   reference semantics it is tested against.  Only the input check is
+   shared ({!Pnut_core.Duration.check_net}): both builders accept the
+   same nets and name the same offenders.  Serial FIFO only; the
    layered parallel machinery the old builder carried is gone — an
    oracle has no throughput requirements. *)
 
@@ -58,41 +60,6 @@ let det_duration env = function
   | Net.Dynamic e when Expr.is_deterministic e -> Expr.eval_float env e
   | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ ->
     invalid_arg "Reach.Timed: stochastic duration in a timed reachability net"
-
-let check_deterministic net =
-  Array.iter
-    (fun tr ->
-      let check_dur what d =
-        match d with
-        | Net.Zero | Net.Const _ -> ()
-        | Net.Uniform (lo, hi) when Float.equal lo hi -> ()
-        | Net.Choice ((v, _) :: rest)
-          when List.for_all (fun (v', _) -> Float.equal v v') rest -> ()
-        | Net.Dynamic e when Expr.is_deterministic e -> ()
-        | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ ->
-          invalid_arg
-            (Printf.sprintf "Reach.Timed: stochastic %s time on transition %s"
-               what tr.Net.t_name)
-      in
-      check_dur "firing" tr.Net.t_firing;
-      check_dur "enabling" tr.Net.t_enabling;
-      (match tr.Net.t_predicate with
-      | Some p when not (Expr.is_deterministic p) ->
-        invalid_arg
-          ("Reach.Timed: stochastic predicate on transition " ^ tr.Net.t_name)
-      | Some _ | None -> ());
-      if
-        List.exists
-          (fun s ->
-            match s with
-            | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
-            | Expr.Table_assign (_, i, e) ->
-              not (Expr.is_deterministic i && Expr.is_deterministic e))
-          tr.Net.t_action
-      then
-        invalid_arg
-          ("Reach.Timed: stochastic action on transition " ^ tr.Net.t_name))
-    (Net.transitions net)
 
 (* Recompute the pending (enabling) list after a state change: enabled
    transitions keep their old residual, newly enabled ones start at their
@@ -247,7 +214,7 @@ let successors_of kernel horizon (marking, in_flight, pending, env, time) =
 
 let build_supervised ?(max_states = 50_000) ?horizon
     ?(budget = Pnut_exec.Budget.none) net =
-  check_deterministic net;
+  Pnut_core.Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states = Pnut_exec.Supervisor.state_cap monitor max_states in

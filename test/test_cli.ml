@@ -316,6 +316,20 @@ let test_reach_stochastic_rejected () =
       ("timed", [ "--timed" ], "Decode");
       ("explicit", [ "--timed"; "--explicit" ], "Decode") ]
 
+let test_reach_timed_names_all () =
+  (* the timed builders name every stochastic transition, not only the
+     first one *)
+  let isa = tmp "interpreted.pn" in
+  ignore (check_run "model" [ "model"; "interpreted"; "-o"; isa ] : string);
+  List.iter
+    (fun (what, args) ->
+      let code, _ = run ("reach" :: isa :: args) in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      let err = read_file (tmp "err") in
+      Testutil.check_contains (what ^ " names Decode") err "Decode";
+      Testutil.check_contains (what ^ " names Issue") err "Issue")
+    [ ("timed", [ "--timed" ]); ("explicit", [ "--timed"; "--explicit" ]) ]
+
 let test_model_list () =
   let out = check_run "model list" [ "model"; "--list" ] in
   Testutil.check_contains "pipeline row" out "pipeline";
@@ -624,6 +638,8 @@ let () =
           Alcotest.test_case "reach store" `Quick test_reach_store;
           Alcotest.test_case "reach stochastic rejected" `Quick
             test_reach_stochastic_rejected;
+          Alcotest.test_case "reach timed names all stochastic" `Quick
+            test_reach_timed_names_all;
           Alcotest.test_case "model list" `Quick test_model_list;
           Alcotest.test_case "invariants" `Quick test_invariants;
           Alcotest.test_case "anim" `Quick test_anim;

@@ -310,6 +310,104 @@ let test_frontier_close_idempotent () =
       Alcotest.(check (list string)) "second close is a no-op" []
         (spill_files dir))
 
+(* -- the sweep engine, driven by a toy expander: state [k] holds [k]
+      tokens in [q] and expands to [2k+1] and [2k+2] below [limit], so
+      the BFS numbering is [k] itself -- *)
+
+module Bfs = Pnut_reach.Bfs
+
+type toy = { mutable pushed : int list; mutable popped : int list }
+
+let toy_run ?(budget = Pnut_exec.Budget.none) ?(max_states = max_int)
+    ?(limit = 2000) ?(fail_after = max_int)
+    ?(fail = fun () -> failwith "expander failed") ~spill_threshold () =
+  let net = pump_net () in
+  let store = Store.create (Packed.create net) ~num_transitions:1 in
+  let log = { pushed = []; popped = [] } in
+  let visit bfs k =
+    match Bfs.intern bfs [| 1; k |] ~extra:0 with
+    | `Added i ->
+      Bfs.push bfs i;
+      log.pushed <- i :: log.pushed
+    | `Found _ -> ()
+    | `Capped ->
+      let n = Store.num_states store in
+      (* a capped intern leaves the store as it was *)
+      assert (Bfs.intern bfs [| 1; k |] ~extra:0 = `Capped);
+      assert (Store.num_states store = n)
+  in
+  let expand bfs i =
+    if List.length log.popped >= fail_after then fail ();
+    log.popped <- i :: log.popped;
+    List.iter (fun k -> if k < limit then visit bfs k) [ (2 * i) + 1; (2 * i) + 2 ]
+  in
+  let monitor = Pnut_exec.Supervisor.start budget in
+  let r =
+    Bfs.run ~monitor ~max_states ~spill_threshold store
+      ~seed:(fun bfs -> visit bfs 0)
+      ~expand
+  in
+  (r, store, log)
+
+let test_bfs_fifo_order () =
+  List.iter
+    (fun spill_threshold ->
+      let r, store, log = toy_run ~spill_threshold () in
+      let what = Printf.sprintf "threshold %d" spill_threshold in
+      Alcotest.(check (list int)) (what ^ ": pops in push order")
+        (List.rev log.pushed) (List.rev log.popped);
+      Alcotest.(check (list int)) (what ^ ": BFS numbering")
+        (List.init 2000 Fun.id) (List.rev log.popped);
+      Alcotest.(check bool) (what ^ ": complete") true (Bfs.complete r);
+      Alcotest.(check (pair int int)) (what ^ ": visited, frontier")
+        (2000, 0) (r.Bfs.visited, r.Bfs.frontier);
+      Alcotest.(check int) (what ^ ": store") 2000 (Store.num_states store))
+    [ 0; Pnut_exec.Budget.spill_threshold_bytes Pnut_exec.Budget.none ]
+
+let test_bfs_capped () =
+  let r, store, log = toy_run ~max_states:100 ~spill_threshold:0 () in
+  Alcotest.(check int) "store holds the cap" 100 (Store.num_states store);
+  Alcotest.(check bool) "capped" true r.Bfs.capped;
+  Alcotest.(check bool) "incomplete" false (Bfs.complete r);
+  Alcotest.(check (pair int int)) "visited, frontier" (100, 0)
+    (r.Bfs.visited, r.Bfs.frontier);
+  Alcotest.(check int) "every admitted state expanded" 100
+    (List.length log.popped);
+  match Pnut_exec.Supervisor.(Bfs.verdict (start Pnut_exec.Budget.none) r ()) with
+  | Pnut_exec.Supervisor.Degraded { reason = Pnut_exec.Supervisor.States 100; _ }
+    -> ()
+  | _ -> Alcotest.fail "a capped run must be Degraded (States 100)"
+
+let test_bfs_budget_frontier () =
+  let tok = Pnut_exec.Budget.token () in
+  Pnut_exec.Budget.cancel tok;
+  let r, _, log =
+    toy_run ~budget:(Pnut_exec.Budget.make ~cancel:tok ()) ~spill_threshold:0 ()
+  in
+  Alcotest.(check bool) "stopped by the budget" true
+    (r.Bfs.stop = Some Pnut_exec.Supervisor.Cancelled);
+  Alcotest.(check int) "trip at the 256th dequeue" 255 (List.length log.popped);
+  Alcotest.(check int) "frontier = pushed - popped"
+    (List.length log.pushed - List.length log.popped)
+    r.Bfs.frontier;
+  Alcotest.(check bool) "frontier non-empty" true (r.Bfs.frontier > 0)
+
+let test_bfs_expander_raises () =
+  with_private_tmpdir (fun dir ->
+      let spilled = ref false in
+      let fail () =
+        spilled := spill_files dir <> [];
+        failwith "expander failed"
+      in
+      (match
+         toy_run ~spill_threshold:0 ~limit:100_000 ~fail_after:600 ~fail ()
+       with
+      | _ -> Alcotest.fail "the expander's exception must propagate"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "the frontier had spilled" true !spilled;
+      Alcotest.(check (list string)) "no spill file left" []
+        (spill_files dir))
+
 (* -- the frontier in isolation -- *)
 
 let test_frontier_fifo_spill () =
@@ -581,6 +679,14 @@ let () =
             test_no_spill_file_leak;
           Alcotest.test_case "close idempotent" `Quick
             test_frontier_close_idempotent;
+        ] );
+      ( "bfs engine",
+        [
+          Alcotest.test_case "pops in push order" `Quick test_bfs_fifo_order;
+          Alcotest.test_case "capped" `Quick test_bfs_capped;
+          Alcotest.test_case "budget trip frontier" `Quick
+            test_bfs_budget_frontier;
+          Alcotest.test_case "expander raises" `Quick test_bfs_expander_raises;
         ] );
       ( "side table",
         [ Alcotest.test_case "env and clocks" `Quick test_intern_extra_clocks ]
